@@ -103,17 +103,16 @@ const (
 // Cache is a set-associative write-back cache model.
 //
 // The LRU sequence number handed to lines is stats.Accesses: it
-// increments exactly once per Access, so it is the same sequence the
+// increments exactly once per access, so it is the same sequence the
 // former dedicated tick counter produced, with one fewer counter update
 // on the hot path.
 type Cache struct {
 	cfg       Config
-	sets      int
 	lineShift uint
 	// tagShift is log2(sets), precomputed at construction: every access
 	// needs it to split a line number into set index and tag, and
 	// recomputing it with a loop per access dominated the simulator's
-	// host-time profile (ISSUE 4).
+	// host-time profile.
 	tagShift uint
 	setMask  uint64
 	// twoWay selects the unrolled probe for the ubiquitous 2-way
@@ -122,32 +121,10 @@ type Cache struct {
 	twoWay bool
 	lines  []line // sets*ways, set-major
 	stats  Stats
-
-	// Two-entry line memo: pointer and line number of the two most
-	// recently touched resident lines, MRU first. Element-granular
-	// sweeps touch the same line dozens of times in a row, and the
-	// sorts' permutation passes alternate a sequential load with a
-	// scattered store — a pattern that defeats a one-entry memo but is
-	// exactly captured by two. (A third entry was measured and lost:
-	// unlike the TLB, whose page memo captures the permutation pass's
-	// three-stream rotation, the cache-line streams churn too fast for
-	// the extra rotation work to pay for the probes it saves.) An
-	// entry is empty when its line number is memoNone (simulated
-	// addresses are far too small to reach it), which keeps the
-	// hot-path test to a single compare; holding a *line rather than
-	// an index makes the memoized hit free of bounds checks. The memo
-	// is maintained so it can never name an evicted line (fills
-	// repoint or clear it, Invalidate and Flush clear it), and a memo
-	// hit performs the same stats/LRU/dirty updates as the probe it
-	// skips, so behavior is bit-identical.
-	lastLineNum uint64
-	prevLineNum uint64
-	lastLine    *line
-	prevLine    *line
 }
 
-// memoNone marks an empty memo entry: no simulated address shifts down
-// to this line or page number (the address space allocates a few
+// memoNone marks an empty lane or TLB slot: no simulated address shifts
+// down to this line or page number (the address space allocates a few
 // megabytes upward from the page size).
 const memoNone = ^uint64(0)
 
@@ -163,23 +140,17 @@ func New(cfg Config) *Cache {
 		shift++
 	}
 	return &Cache{
-		cfg:         cfg,
-		sets:        sets,
-		lineShift:   shift,
-		tagShift:    uint(log2(sets)),
-		setMask:     uint64(sets - 1),
-		twoWay:      cfg.Ways == 2,
-		lines:       make([]line, sets*cfg.Ways),
-		lastLineNum: memoNone,
-		prevLineNum: memoNone,
+		cfg:       cfg,
+		lineShift: shift,
+		tagShift:  uint(log2(sets)),
+		setMask:   uint64(sets - 1),
+		twoWay:    cfg.Ways == 2,
+		lines:     make([]line, sets*cfg.Ways),
 	}
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
 
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats {
@@ -193,44 +164,66 @@ func (c *Cache) LineAddr(a Addr) Addr {
 	return a &^ Addr(c.cfg.LineSize-1)
 }
 
-// Access simulates one access to address a. write marks the line dirty.
-// The returned result reports hit/miss and any dirty eviction.
+// A Lane is a per-stream line memo for the machine's access step: each
+// concurrent access stream of a kernel — the sequential key sweep, the
+// histogram gather, the scattered store — holds its own Lane, so a
+// stream's same-line run costs one compare per access after its first
+// touch (the first touch of a line is simulated exactly, the remaining
+// touches of the run take the lane hit).
 //
-// The function is split so the memoized-hit path stays within the
-// compiler's inlining budget; accessSlow carries the probe and fill.
-// accessHit is the shared hit result; returning a prebuilt value keeps
-// the fast path within the inlining budget.
-var accessHit = AccessResult{Hit: true}
-
-func (c *Cache) Access(a Addr, write bool) AccessResult {
-	c.stats.Accesses++
-	lineNum := uint64(a) >> c.lineShift
-	if lineNum != c.lastLineNum {
-		return c.accessSlow(lineNum, write)
-	}
-	ln := c.lastLine
-	ln.lru = c.stats.Accesses
-	if write {
-		ln.meta |= lineDirty
-	}
-	return accessHit
+// A Lane is self-validating, so it needs no registry and no
+// invalidation hooks: the fast path re-checks that the slot it points at
+// still holds a valid line with the lane's tag. The pointed-at slot
+// belongs to one set forever and the lane's line number fixes both the
+// set and the tag, so a passing check identifies exactly the lane's line
+// — a slot refilled with any other line, an invalidated line, or a
+// flushed cache all fail the compare and fall through to the normal
+// path. A lane hit performs the same stats/LRU/dirty updates as the
+// probe it skips, so behavior is bit-identical to plain Access
+// (FuzzAccessOracle drives both side by side).
+type Lane struct {
+	lineNum uint64
+	// want is the meta word of a valid, clean line with lineNum's tag
+	// (precomputed at capture so the hit test is one masked compare).
+	want uint64
+	ln   *line
 }
 
-// accessSlow handles an access that missed the MRU memo entry: second
-// memo entry, then set probe, then fill.
-func (c *Cache) accessSlow(lineNum uint64, write bool) AccessResult {
-	tick := c.stats.Accesses
-	if lineNum == c.prevLineNum {
-		ln := c.prevLine
-		ln.lru = tick
-		if write {
-			ln.meta |= lineDirty
-		}
-		// Promote to MRU; old MRU becomes the second entry.
-		c.lastLineNum, c.lastLine, c.prevLineNum, c.prevLine =
-			lineNum, ln, c.lastLineNum, c.lastLine
-		return AccessResult{Hit: true}
+// Reset empties the lane; the next access through it takes the normal
+// path and recaptures.
+func (l *Lane) Reset() { l.lineNum = memoNone; l.ln = nil; l.want = 0 }
+
+// LaneHit completes an access that hits the lane — counting it and
+// making the same LRU/dirty updates as the probe it skips — and reports
+// whether it did. On false it has changed nothing, and the caller must
+// complete the access with AccessLaneMiss. It is small enough to inline,
+// so a lane hit costs no function call.
+func (c *Cache) LaneHit(l *Lane, a Addr, write bool) bool {
+	if uint64(a)>>c.lineShift != l.lineNum || l.ln.meta&^uint64(lineDirty) != l.want {
+		return false
 	}
+	c.stats.Accesses++
+	l.ln.lru = c.stats.Accesses
+	if write {
+		l.ln.meta |= lineDirty
+	}
+	return true
+}
+
+// Access simulates one access to address a. write marks the line dirty.
+// The returned result reports hit/miss and any dirty eviction.
+func (c *Cache) Access(a Addr, write bool) AccessResult {
+	var l Lane
+	return c.AccessLaneMiss(&l, a, write)
+}
+
+// AccessLaneMiss completes an access whose LaneHit returned false — set
+// probe, then fill — and recaptures the lane on the line now holding
+// a's line.
+func (c *Cache) AccessLaneMiss(l *Lane, a Addr, write bool) AccessResult {
+	c.stats.Accesses++
+	lineNum := uint64(a) >> c.lineShift
+	tick := c.stats.Accesses
 	set := int(lineNum & c.setMask)
 	tag := lineNum >> c.tagShift
 	// want is the meta word of a valid, clean line with this tag; masking
@@ -263,131 +256,30 @@ func (c *Cache) accessSlow(lineNum uint64, write bool) AccessResult {
 	} else {
 		hit, victim = c.probe(set, want)
 	}
+	l.lineNum, l.want = lineNum, want
 	if hit != nil {
 		hit.lru = tick
 		if write {
 			hit.meta |= lineDirty
 		}
-		c.prevLineNum, c.prevLine = c.lastLineNum, c.lastLine
-		c.lastLineNum, c.lastLine = lineNum, hit
+		l.ln = hit
 		return AccessResult{Hit: true}
 	}
 
 	// Miss: fill the victim way.
 	c.stats.Misses++
-	ln := victim
 	res := AccessResult{}
-	if ln.meta&(lineValid|lineDirty) == lineValid|lineDirty {
+	if victim.meta&(lineValid|lineDirty) == lineValid|lineDirty {
 		res.WriteBack = true
-		res.WritebackAddr = c.reconstruct(ln.meta>>lineTagLSB, set)
+		res.WritebackAddr = c.reconstruct(victim.meta>>lineTagLSB, set)
 		c.stats.Writebacks++
 	}
-	nm := want
 	if write {
-		nm |= lineDirty
+		want |= lineDirty
 	}
-	ln.meta = nm
-	ln.lru = tick
-	// Fills update the memo, so it can never name an evicted line: the
-	// only way a resident line leaves the cache is a fill into its slot
-	// (which repoints the memo here, and clears the second entry if it
-	// named the victim slot) or Invalidate/Flush (which clear it).
-	c.prevLineNum, c.prevLine = c.lastLineNum, c.lastLine
-	c.lastLineNum, c.lastLine = lineNum, ln
-	if c.prevLine == ln {
-		c.prevLineNum = memoNone
-	}
-	return res
-}
-
-// A Lane is a per-stream line memo for the batched access kernels
-// (machine's stream engine): each concurrent access stream of a kernel —
-// the sequential key sweep, the histogram gather, the scattered store —
-// holds its own Lane, so the streams stop evicting each other out of the
-// cache's two shared memo entries and a same-line run costs one compare
-// per access after its first touch (this is the run-coalescing fast
-// path: the first touch of a line is simulated exactly, the remaining
-// touches of the run take the lane hit).
-//
-// A Lane is self-validating, so it needs no registry and no
-// invalidation hooks: the fast path re-checks that the slot it points at
-// still holds a valid line with the lane's tag. The pointed-at slot
-// belongs to one set forever and the lane's line number fixes both the
-// set and the tag, so a passing check identifies exactly the lane's line
-// — a slot refilled with any other line, an invalidated line, or a
-// flushed cache all fail the compare and fall through to the normal
-// path. A lane hit performs the same stats/LRU/dirty updates as the
-// probe it skips, so behavior is bit-identical to plain Access
-// (FuzzAccessOracle drives both side by side).
-type Lane struct {
-	lineNum uint64
-	// want is the meta word of a valid, clean line with lineNum's tag
-	// (precomputed at capture so the hit test is one masked compare).
-	want uint64
-	ln   *line
-}
-
-// Reset empties the lane; the next access through it takes the normal
-// path and recaptures.
-func (l *Lane) Reset() { l.lineNum = memoNone; l.ln = nil; l.want = 0 }
-
-// AccessLane is Access with the lane as a private memo: identical
-// observable behavior (stats, LRU, dirty bits, hit/miss/writeback), but
-// the memoized-hit test uses the caller's lane, so interleaved streams
-// each keep their own hot line. The cache's shared memo entries are
-// not rotated on a lane hit; they are pure accelerators, so skipping
-// them changes no modeled outcome.
-func (c *Cache) AccessLane(l *Lane, a Addr, write bool) AccessResult {
-	if c.LaneHit(l, a, write) {
-		return accessHit
-	}
-	return c.laneSlow(l, uint64(a)>>c.lineShift, write)
-}
-
-// LaneHit is the inlinable half of AccessLane: it counts the access and
-// completes it if it hits the lane, reporting whether it did. On false
-// the caller must finish the access with AccessLaneMiss (the access is
-// already counted; calling neither would desynchronize the stats). The
-// split lets a kernel's per-element loop resolve lane hits without any
-// function call.
-func (c *Cache) LaneHit(l *Lane, a Addr, write bool) bool {
-	c.stats.Accesses++
-	if uint64(a)>>c.lineShift == l.lineNum && l.ln.meta&^uint64(lineDirty) == l.want {
-		ln := l.ln
-		ln.lru = c.stats.Accesses
-		if write {
-			ln.meta |= lineDirty
-		}
-		return true
-	}
-	return false
-}
-
-// AccessLaneMiss completes an access whose LaneHit returned false,
-// resolving it through the cache's normal path and recapturing the lane.
-func (c *Cache) AccessLaneMiss(l *Lane, a Addr, write bool) AccessResult {
-	return c.laneSlow(l, uint64(a)>>c.lineShift, write)
-}
-
-// laneSlow resolves a lane miss through the cache's normal path (shared
-// memo, probe, fill) and recaptures the lane: every exit of that path
-// leaves the just-touched line as the MRU memo entry, which is exactly
-// the line the lane should name.
-func (c *Cache) laneSlow(l *Lane, lineNum uint64, write bool) AccessResult {
-	var res AccessResult
-	if lineNum == c.lastLineNum {
-		ln := c.lastLine
-		ln.lru = c.stats.Accesses
-		if write {
-			ln.meta |= lineDirty
-		}
-		res = accessHit
-	} else {
-		res = c.accessSlow(lineNum, write)
-	}
-	l.lineNum = lineNum
-	l.ln = c.lastLine
-	l.want = lineNum>>c.tagShift<<lineTagLSB | lineValid
+	victim.meta = want
+	victim.lru = tick
+	l.ln = victim
 	return res
 }
 
@@ -421,55 +313,51 @@ func (c *Cache) probe(set int, want uint64) (hit, victim *line) {
 	return nil, victim
 }
 
-// Contains reports whether the line holding a is currently cached.
-func (c *Cache) Contains(a Addr) bool {
+// resident returns the line holding a's line, or nil when it is not
+// cached.
+func (c *Cache) resident(a Addr) *line {
 	lineNum := uint64(a) >> c.lineShift
-	set := int(lineNum & c.setMask)
-	tag := lineNum >> c.tagShift
-	want := tag<<lineTagLSB | lineValid
-	base := set * c.cfg.Ways
-	for i := 0; i < c.cfg.Ways; i++ {
-		if c.lines[base+i].meta&^uint64(lineDirty) == want {
-			return true
+	want := lineNum>>c.tagShift<<lineTagLSB | lineValid
+	base := int(lineNum&c.setMask) * c.cfg.Ways
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if ln := &c.lines[i]; ln.meta&^uint64(lineDirty) == want {
+			return ln
 		}
 	}
-	return false
+	return nil
 }
+
+// Contains reports whether the line holding a is currently cached.
+func (c *Cache) Contains(a Addr) bool { return c.resident(a) != nil }
 
 // Invalidate drops the line holding a, if present, and reports whether it
 // was dirty (the caller prices the resulting writeback transaction).
 func (c *Cache) Invalidate(a Addr) (present, dirty bool) {
-	lineNum := uint64(a) >> c.lineShift
-	set := int(lineNum & c.setMask)
-	tag := lineNum >> c.tagShift
-	want := tag<<lineTagLSB | lineValid
-	base := set * c.cfg.Ways
-	for i := 0; i < c.cfg.Ways; i++ {
-		ln := &c.lines[base+i]
-		if ln.meta&^uint64(lineDirty) == want {
-			d := ln.meta&lineDirty != 0
-			ln.meta = 0
-			if c.lastLine == ln {
-				c.lastLineNum = memoNone
-			}
-			if c.prevLine == ln {
-				c.prevLineNum = memoNone
-			}
-			return true, d
-		}
+	ln := c.resident(a)
+	if ln == nil {
+		return false, false
 	}
-	return false, false
+	dirty = ln.meta&lineDirty != 0
+	ln.meta = 0
+	return true, dirty
 }
 
-// CorruptMemoForTest poisons the MRU line-memo entry so the next access
-// to a's line reports a memoized hit regardless of whether the line is
-// resident, pointing the memo at way 0 of set 0. It deliberately breaks
-// the memo invariant ("a memo entry never names a non-resident line") so
-// the paranoid differential oracle can prove it detects memo-layer
-// corruption; it must never be called outside tests.
-func (c *Cache) CorruptMemoForTest(a Addr) {
-	c.lastLineNum = uint64(a) >> c.lineShift
-	c.lastLine = &c.lines[0]
+// CorruptTagForTest retags the first valid way of a's set as a's line,
+// so the next access to a reports a hit whether or not the line was
+// ever filled, and reports whether the set had a valid way to retag. It
+// deliberately breaks the cache model so the paranoid differential
+// oracle can prove it detects corruption of the packed lines array; it
+// must never be called outside tests.
+func (c *Cache) CorruptTagForTest(a Addr) bool {
+	lineNum := uint64(a) >> c.lineShift
+	base := int(lineNum&c.setMask) * c.cfg.Ways
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if ln := &c.lines[i]; ln.meta&lineValid != 0 {
+			ln.meta = lineNum>>c.tagShift<<lineTagLSB | ln.meta&(lineValid|lineDirty)
+			return true
+		}
+	}
+	return false
 }
 
 // Flush invalidates every line and returns the number of dirty lines
@@ -482,8 +370,6 @@ func (c *Cache) Flush() int {
 		}
 		c.lines[i] = line{}
 	}
-	c.lastLineNum = memoNone
-	c.prevLineNum = memoNone
 	return dirty
 }
 

@@ -42,11 +42,11 @@ func (s TLBStats) MissRate() float64 {
 // replacement (the R10000's TLB uses random replacement; FIFO is a
 // deterministic stand-in with the same capacity behavior and O(1) cost).
 //
-// The resident set is held in a small open-addressing hash table (plus a
-// one-entry last-page memo) rather than a Go map: the translation probe
-// runs once per simulated memory reference and the map lookup dominated
-// the simulator's host-time profile (ISSUE 4). Replacement decisions,
-// miss counts and access counts are identical to the map-based model.
+// The resident set is held in a small open-addressing hash table rather
+// than a Go map: the translation probe runs once per simulated memory
+// reference that misses its lane, and the map lookup dominated the
+// simulator's host-time profile. Replacement decisions, miss counts and
+// access counts are identical to the map-based model.
 type TLB struct {
 	cfg       TLBConfig
 	pageShift uint
@@ -62,95 +62,87 @@ type TLB struct {
 	// ring is the FIFO eviction order over resident pages.
 	ring []uint64
 	head int
-	// Three-entry translation memo, MRU first: sequential sweeps
-	// re-translate the same page line after line, and the sorts'
-	// permutation passes rotate through three streams per element (a
-	// sequential key load, a histogram access, and a scattered store) —
-	// a pattern that defeats shallower memos but is exactly captured by
-	// three entries. An empty entry holds memoNone, which no simulated
-	// address shifts down to, so each test is one compare. Hits do not
-	// mutate FIFO state, so skipping the probe for a memoized resident
-	// page is exact; eviction clears any memo entry naming the evicted
-	// page.
-	lastPage  uint64
-	prevPage  uint64
-	prev2Page uint64
 	// accesses and misses are kept as direct fields (not a TLBStats) so
-	// the counter bump in Access stays within the inlining budget;
-	// Stats assembles the exported view.
+	// the counter bump in LaneHit stays cheap to inline; Stats assembles
+	// the exported view.
 	accesses uint64
 	misses   uint64
-	// lanes are the attached per-stream page memos (see TLBLane). Unlike
-	// cache lanes they need a registry: a TLB hit has no per-line state
-	// to re-validate against, so eviction and Flush must clear any lane
-	// naming a page that left the resident set.
-	lanes []*TLBLane
 }
 
-// A TLBLane is a per-stream page memo for the batched access kernels:
-// each access stream of a kernel holds its own lane, so interleaved
-// streams stop churning the TLB's three shared memo entries. A lane hit
-// counts the access and does nothing else — exactly what a plain Access
-// hit of a memoized resident page does — so behavior is bit-identical.
+// A TLBLane is a per-stream page memo for the machine's access step:
+// each access stream of a kernel holds its own lane, so a stream's
+// same-page run resolves in one inlined compare.
 //
-// Lanes must be attached (AttachLane) before use and detached
-// (DetachLanes) when the kernel finishes; while attached, translateSlow's
-// eviction and Flush clear any lane naming the dropped page, preserving
-// the invariant that a lane never names a non-resident page.
+// Like a cache Lane, a TLBLane is self-validating, so it needs no
+// registry and no invalidation hooks: it points at the hash slot its
+// page was found in, and a hit requires that slot to still hold the
+// page. Slots hold only resident pages, so a passing check proves the
+// page is resident; an evicted, flushed or shifted page fails it and
+// takes the probe, which recaptures the slot. TLB hits change no FIFO
+// state, so a lane hit — which only counts the access — is exactly what
+// a probed hit does.
 type TLBLane struct {
-	page uint64
+	slot *uint64
 }
 
-// AttachLane registers l with the TLB's eviction bookkeeping and empties
-// it. Attach a lane once per kernel invocation; lanes are not reentrant.
-func (t *TLB) AttachLane(l *TLBLane) {
-	l.page = memoNone
-	t.lanes = append(t.lanes, l)
+// noPage is the slot an empty lane points at: it holds memoNone, which
+// no simulated address translates to, so an empty lane never hits.
+var noPage = memoNone
+
+// Reset empties the lane; the next access through it takes the probe
+// and recaptures.
+func (l *TLBLane) Reset() { l.slot = &noPage }
+
+// LaneHolds reports whether the lane names a's page, changing nothing:
+// whether LaneHit would hit.
+func (t *TLB) LaneHolds(l *TLBLane, a Addr) bool {
+	return *l.slot == uint64(a)>>t.pageShift
 }
 
-// DetachLanes unregisters every attached lane (kernels attach and detach
-// in a strict bracket; lanes never stay registered across kernel calls).
-// The registry's backing array is retained, so a detach/attach cycle
-// does not allocate.
-func (t *TLB) DetachLanes() {
-	for i := range t.lanes {
-		t.lanes[i] = nil
-	}
-	t.lanes = t.lanes[:0]
-}
-
-// AccessLane is Access with the lane as a private memo: identical
-// counters and miss decisions, but the memoized-hit test uses the
-// caller's lane. A lane hit skips the shared three-entry memo rotation;
-// hits do not mutate FIFO state, so the skip is exact.
-func (t *TLB) AccessLane(l *TLBLane, a Addr) bool {
-	if t.LaneHit(l, a) {
+// LaneHit counts a translation that hits the lane and reports whether it
+// did. On false it has changed nothing, and the caller must complete the
+// translation with LaneRefill. It is small enough to inline, so a lane
+// hit costs no function call.
+func (t *TLB) LaneHit(l *TLBLane, a Addr) bool {
+	if *l.slot != uint64(a)>>t.pageShift {
 		return false
 	}
-	return t.laneSlow(l, uint64(a)>>t.pageShift)
-}
-
-// LaneHit is the inlinable half of AccessLane: it counts the access and
-// reports whether it hit the lane (hits have no further effect). On
-// false the caller must finish the translation with LaneRefill (the
-// access is already counted). The split lets a kernel's per-element
-// loop resolve lane hits without any function call.
-func (t *TLB) LaneHit(l *TLBLane, a Addr) bool {
 	t.accesses++
-	return uint64(a)>>t.pageShift == l.page
+	return true
 }
 
 // LaneRefill completes a translation whose LaneHit returned false,
-// reporting whether it missed the TLB.
+// refilling on a TLB miss, reports whether it missed, and recaptures the
+// lane on the slot now holding a's page.
 func (t *TLB) LaneRefill(l *TLBLane, a Addr) bool {
-	return t.laneSlow(l, uint64(a)>>t.pageShift)
-}
-
-// laneSlow resolves a lane miss through the normal translation path and
-// recaptures the lane.
-func (t *TLB) laneSlow(l *TLBLane, page uint64) bool {
-	miss := t.translate(page)
-	l.page = page
+	t.accesses++
+	page := uint64(a) >> t.pageShift
+	i := t.find(page)
+	miss := t.slots[i] != page
+	if miss {
+		// Place the page in the empty slot the probe found, then retire
+		// the FIFO victim. Inserting before removing is safe — the hash
+		// table's internal layout is not observable, and backward-shift
+		// deletion preserves the probe-chain invariant either way — but
+		// the deletion may shift the new page back, so its slot is
+		// re-found.
+		t.misses++
+		t.slots[i] = page
+		if len(t.ring) < t.cfg.Entries {
+			t.ring = append(t.ring, page)
+		} else {
+			t.remove(t.ring[t.head])
+			t.ring[t.head] = page
+			t.head++
+			if t.head == t.cfg.Entries {
+				t.head = 0
+			}
+			if t.slots[i] != page {
+				i = t.find(page)
+			}
+		}
+	}
+	l.slot = &t.slots[i]
 	return miss
 }
 
@@ -181,9 +173,6 @@ func NewTLB(cfg TLBConfig) *TLB {
 		slotMask:  uint64(1<<bits - 1),
 		slotBits:  bits,
 		ring:      make([]uint64, 0, cfg.Entries),
-		lastPage:  memoNone,
-		prevPage:  memoNone,
-		prev2Page: memoNone,
 	}
 }
 
@@ -200,16 +189,15 @@ func (t *TLB) home(page uint64) uint64 {
 	return (page * 0x9E3779B97F4A7C15) >> (64 - t.slotBits)
 }
 
-// contains probes the resident set for page.
-func (t *TLB) contains(page uint64) bool {
+// find probes for page and returns the slot holding it, or the empty
+// slot ending its probe chain (where it belongs) when it is not
+// resident.
+func (t *TLB) find(page uint64) uint64 {
 	i := t.home(page)
 	for {
 		pg := t.slots[i]
-		if pg == page {
-			return true
-		}
-		if pg == memoNone {
-			return false
+		if pg == page || pg == memoNone {
+			return i
 		}
 		i = (i + 1) & t.slotMask
 	}
@@ -220,10 +208,7 @@ func (t *TLB) contains(page uint64) bool {
 // tombstones.
 func (t *TLB) remove(page uint64) {
 	mask := t.slotMask
-	i := t.home(page)
-	for t.slots[i] != page {
-		i = (i + 1) & mask
-	}
+	i := t.find(page)
 	j := i
 	for {
 		j = (j + 1) & mask
@@ -242,105 +227,11 @@ func (t *TLB) remove(page uint64) {
 	t.slots[i] = memoNone
 }
 
-// translate looks page up, refilling on a miss, and reports whether the
-// translation missed. Shared by Access and AccessN; does not touch the
-// access counter. Split so the memoized path inlines into the per-access
-// loop; translateSlow carries the probe and refill.
-func (t *TLB) translate(page uint64) (miss bool) {
-	if page == t.lastPage {
-		return false
-	}
-	return t.translateSlow(page)
-}
-
-func (t *TLB) translateSlow(page uint64) (miss bool) {
-	if page == t.prevPage {
-		// Promote to MRU; old MRU becomes the second entry.
-		t.lastPage, t.prevPage = page, t.lastPage
-		return false
-	}
-	if page == t.prev2Page {
-		t.prev2Page = t.prevPage
-		t.prevPage = t.lastPage
-		t.lastPage = page
-		return false
-	}
-	// One probe serves both outcomes: it either finds the page (hit) or
-	// ends on the empty slot where the page belongs (miss refill site).
-	i := t.home(page)
-	for {
-		pg := t.slots[i]
-		if pg == page {
-			t.prev2Page = t.prevPage
-			t.prevPage = t.lastPage
-			t.lastPage = page
-			return false
-		}
-		if pg == memoNone {
-			break
-		}
-		i = (i + 1) & t.slotMask
-	}
-	// Miss: place the page in the empty slot the probe found, then
-	// retire the FIFO victim. Inserting before removing is safe — the
-	// hash table's internal layout is not observable, and backward-shift
-	// deletion preserves the probe-chain invariant either way.
-	t.misses++
-	t.slots[i] = page
-	if len(t.ring) < t.cfg.Entries {
-		t.ring = append(t.ring, page)
-	} else {
-		evicted := t.ring[t.head]
-		t.remove(evicted)
-		if evicted == t.lastPage {
-			t.lastPage = memoNone
-		}
-		if evicted == t.prevPage {
-			t.prevPage = memoNone
-		}
-		if evicted == t.prev2Page {
-			t.prev2Page = memoNone
-		}
-		for _, ln := range t.lanes {
-			if ln.page == evicted {
-				ln.page = memoNone
-			}
-		}
-		t.ring[t.head] = page
-		t.head++
-		if t.head == t.cfg.Entries {
-			t.head = 0
-		}
-	}
-	t.prev2Page = t.prevPage
-	t.prevPage = t.lastPage
-	t.lastPage = page
-	return true
-}
-
 // Access simulates a translation of address a and reports whether it
 // missed.
 func (t *TLB) Access(a Addr) bool {
-	t.accesses++
-	page := uint64(a) >> t.pageShift
-	if page != t.lastPage {
-		return t.translateSlow(page)
-	}
-	return false
-}
-
-// AccessN simulates n accesses that all fall on the page containing a
-// (one translation, n accesses counted). Block walks use it to hoist the
-// per-page translation out of their per-line loops: after the first
-// access of a page run the remaining accesses of the run hit the TLB by
-// construction, so miss counts and replacement decisions are identical
-// to issuing n separate Access calls.
-func (t *TLB) AccessN(a Addr, n uint64) (miss bool) {
-	if n == 0 {
-		return false
-	}
-	t.accesses += n
-	return t.translate(uint64(a) >> t.pageShift)
+	var l TLBLane
+	return t.LaneRefill(&l, a)
 }
 
 // Flush drops all translations.
@@ -350,10 +241,4 @@ func (t *TLB) Flush() {
 	}
 	t.ring = t.ring[:0]
 	t.head = 0
-	t.lastPage = memoNone
-	t.prevPage = memoNone
-	t.prev2Page = memoNone
-	for _, ln := range t.lanes {
-		ln.page = memoNone
-	}
 }

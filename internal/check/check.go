@@ -3,7 +3,7 @@
 // path access by access.
 //
 // The fast path (memoized pricing tables, the flat page→home table, the
-// cache/TLB memo layers — see DESIGN.md §8) was argued correct mostly by
+// cache/TLB lanes — see DESIGN.md §8 and §13) was argued correct mostly by
 // byte-identical outputs. Paranoid mode turns that argument into a
 // machine-checked one: when machine.Config.Paranoid is set, every
 // simulated access is replayed through unmemoized reference models

@@ -122,9 +122,7 @@ func TestMutationPriceTable(t *testing.T) {
 		}
 		arr := machine.NewArrayBlocked[int64](m, "a", 1<<12)
 		m.Run(func(p *machine.Proc) {
-			for i := 0; i < arr.Len(); i++ {
-				arr.Load(p, i, machine.Private) // cold misses hit the corrupted row
-			}
+			arr.LoadRange(p, 0, arr.Len(), machine.Private) // cold misses hit the corrupted row
 		})
 		return m.Checker()
 	}
@@ -182,31 +180,33 @@ func TestMutationPsrsPartitionBoundary(t *testing.T) {
 	}
 }
 
-// TestMutationCacheMemo poisons the cache's MRU line memo to name a
-// non-resident line, making the fast path report a spurious hit; the
-// unmemoized reference cache disagrees and the checker must flag the
-// access.
-func TestMutationCacheMemo(t *testing.T) {
+// TestMutationCacheTag retags a resident line of the fast cache as the
+// line of a cold address, making the fast path report a spurious hit
+// for it; the reference cache disagrees and the checker must flag the
+// access, naming the processor and the faulting address.
+func TestMutationCacheTag(t *testing.T) {
 	cfg := machine.Origin2000Scaled(1)
 	cfg.Paranoid = true
 	m := machine.MustNew(cfg)
-	arr := machine.NewArrayBlocked[int64](m, "a", 1<<13)
+	// Elements 0 and cold sit one cache way apart, so they share a set.
+	cold := cfg.Cache.Size / cfg.Cache.Ways / 8
+	arr := machine.NewArrayBlocked[int64](m, "a", 2*cold)
 	m.Run(func(p *machine.Proc) {
-		arr.Load(p, 0, machine.Private) // line 0 resident, memo points at it
-		// Poison the memo: claim the (cold) line of element 1<<12 is the
-		// MRU-resident line. The next access to it falsely memo-hits.
-		p.CorruptCacheMemoForTest(arr.Addr(1 << 12))
-		arr.Load(p, 1<<12, machine.Private)
+		arr.GatherLoad(p, []int64{0}, machine.Private, 0) // element 0's line resident
+		if !p.CorruptCacheTagForTest(arr.Addr(cold)) {
+			t.Error("setup: no resident line in the cold element's set")
+		}
+		arr.GatherLoad(p, []int64{int64(cold)}, machine.Private, 0)
 	})
 	ck := m.Checker()
 	if ck.Count() == 0 {
-		t.Fatal("poisoned cache memo went undetected")
+		t.Fatal("corrupted cache tag went undetected")
 	}
 	if ok, kinds := hasKind(ck, "cache-access"); !ok {
 		t.Errorf("no cache-access violation; got kinds: %s", kinds)
 	}
 	v := ck.Violations()[0]
-	if v.Proc != 0 || v.Addr == 0 {
-		t.Errorf("violation should name proc 0 and the faulting address, got %+v", v)
+	if v.Proc != 0 || v.Addr != uint64(arr.Addr(cold)) {
+		t.Errorf("violation should name proc 0 and address %#x, got %+v", uint64(arr.Addr(cold)), v)
 	}
 }

@@ -12,14 +12,14 @@ import (
 // flushes mixed in — through the fast-path cache/TLB models and the
 // unmemoized reference models side by side, and requires bit-identical
 // results on every operation plus identical final counters. Each access
-// is randomly routed through the plain shared-memo path, a per-stream
-// lane (cache.Lane / cache.TLBLane), or the split LaneHit/miss-completer
-// pair the batched kernels inline, so the lane machinery faces the same
-// oracle as the paths it accelerates.
+// is randomly routed through the plain Access path or through one of two
+// per-stream lane pairs (cache.Lane + cache.TLBLane) with the split
+// LaneHit/miss-completer protocol of the machine's access step, so the
+// lanes face the same oracle as the probes they skip.
 //
 // Two cache geometries run the same stream: the Origin-style 2-way
-// shape exercises the unrolled probe and the line memos, a 4-way shape
-// exercises the general probe loop. The address space is kept to 16
+// shape exercises the unrolled probe, a 4-way shape exercises the
+// general probe loop. The address space is kept to 16
 // bits over a tiny cache/TLB so conflict evictions, writebacks and TLB
 // FIFO churn all happen within a short input.
 func FuzzAccessOracle(f *testing.F) {
@@ -32,7 +32,7 @@ func FuzzAccessOracle(f *testing.F) {
 	f.Add([]byte{0x03, 0x00, 0x02, 0x06, 0x00, 0x02, 0x07, 0x00, 0x00, 0x00, 0x00, 0x02})
 	f.Add([]byte{0x2D, 0xF0, 0x03, 0x5D, 0x10, 0x04, 0x00, 0xFF, 0xFF})
 	// Stream-shaped seeds for the lane paths (op bits 3-4 select plain /
-	// lane0 / lane1 / the inlined LaneHit+miss split): a gather/scatter
+	// lane0 / lane1 / the lane named by bit 5): a gather/scatter
 	// mix on lane 0, a same-line run through the split path, interleaved
 	// two-lane streams, and a page-straddling run (1 KB pages, so
 	// 0x0400 is a page boundary).
@@ -40,9 +40,12 @@ func FuzzAccessOracle(f *testing.F) {
 	f.Add([]byte{0x18, 0x00, 0x02, 0x18, 0x04, 0x02, 0x18, 0x08, 0x02, 0x1B, 0x0C, 0x02})
 	f.Add([]byte{0x08, 0x00, 0x10, 0x13, 0x00, 0x80, 0x08, 0x40, 0x10, 0x13, 0x40, 0x80})
 	f.Add([]byte{0x3B, 0xFC, 0x03, 0x3B, 0x00, 0x04, 0x18, 0xF8, 0x03, 0x18, 0x04, 0x04, 0x07, 0x00, 0x00})
+	// A lane whose line and page are flushed away under it, then
+	// invalidated away, must miss on its next access.
+	f.Add([]byte{0x08, 0x00, 0x10, 0x07, 0x00, 0x00, 0x08, 0x00, 0x10, 0x06, 0x00, 0x10, 0x08, 0x00, 0x10})
 
 	ccfgs := []cache.Config{
-		{Size: 4096, LineSize: 64, Ways: 2}, // unrolled 2-way probe + memo
+		{Size: 4096, LineSize: 64, Ways: 2}, // unrolled 2-way probe
 		{Size: 8192, LineSize: 32, Ways: 4}, // general probe loop
 	}
 	tcfg := cache.TLBConfig{Entries: 8, PageSize: 1 << 10}
@@ -54,16 +57,38 @@ func FuzzAccessOracle(f *testing.F) {
 			ftlb := cache.NewTLB(tcfg)
 			rtlb := check.NewRefTLB(tcfg)
 
-			// Two cache lanes and two attached TLB lanes on the fast side
-			// model a stream kernel's per-stream memos; the reference side
-			// always uses the plain path, so any lane-vs-plain divergence
-			// (results, counters, replacement) fails the oracle.
+			// Two lane pairs on the fast side model a stream kernel's
+			// per-stream lanes; the reference side always uses the plain
+			// path, so any lane-vs-plain divergence (results, counters,
+			// replacement) fails the oracle.
 			var lanes [2]cache.Lane
 			var tlanes [2]cache.TLBLane
-			lanes[0].Reset()
-			lanes[1].Reset()
-			ftlb.AttachLane(&tlanes[0])
-			ftlb.AttachLane(&tlanes[1])
+			for li := range lanes {
+				lanes[li].Reset()
+				tlanes[li].Reset()
+			}
+			viaLane := func(li int, a cache.Addr, write bool) (bool, cache.AccessResult) {
+				miss := false
+				if !ftlb.LaneHit(&tlanes[li], a) {
+					miss = ftlb.LaneRefill(&tlanes[li], a)
+				}
+				if fast.LaneHit(&lanes[li], a, write) {
+					return miss, cache.AccessResult{Hit: true}
+				}
+				return miss, fast.AccessLaneMiss(&lanes[li], a, write)
+			}
+			compare := func(i int, a cache.Addr, write, fm bool, fr cache.AccessResult) {
+				t.Helper()
+				if rm := rtlb.Access(a); fm != rm {
+					t.Fatalf("%+v op %d: tlb access (%#x) fast=%v ref=%v", ccfg, i, a, fm, rm)
+				}
+				rr := ref.Access(a, write)
+				if fr.Hit != rr.Hit || fr.WriteBack != rr.WriteBack ||
+					(fr.WriteBack && fr.WritebackAddr != rr.WritebackAddr) {
+					t.Fatalf("%+v op %d: Access(%#x, write=%v) fast=%+v ref=%+v",
+						ccfg, i, a, write, fr, rr)
+				}
+			}
 
 			for i := 0; i+3 <= len(data); i += 3 {
 				op := data[i]
@@ -74,39 +99,20 @@ func FuzzAccessOracle(f *testing.F) {
 					var fm bool
 					var fr cache.AccessResult
 					switch (op >> 3) & 3 {
-					case 0: // plain shared-memo path
+					case 0: // plain path
 						fm = ftlb.Access(a)
 						fr = fast.Access(a, write)
-					case 1, 2: // lane path, one of two interleaved streams
-						li := int((op>>3)&3) - 1
-						fm = ftlb.AccessLane(&tlanes[li], a)
-						fr = fast.AccessLane(&lanes[li], a, write)
-					case 3: // the split the kernels inline
-						li := int(op>>5) & 1
-						fm = false
-						if !ftlb.LaneHit(&tlanes[li], a) {
-							fm = ftlb.LaneRefill(&tlanes[li], a)
-						}
-						if fast.LaneHit(&lanes[li], a, write) {
-							fr = cache.AccessResult{Hit: true}
-						} else {
-							fr = fast.AccessLaneMiss(&lanes[li], a, write)
-						}
+					case 1, 2: // one of two interleaved streams
+						fm, fr = viaLane(int((op>>3)&3)-1, a, write)
+					case 3:
+						fm, fr = viaLane(int(op>>5)&1, a, write)
 					}
-					rm := rtlb.Access(a)
-					if fm != rm {
-						t.Fatalf("%+v op %d: tlb access (%#x) fast=%v ref=%v", ccfg, i, a, fm, rm)
-					}
-					rr := ref.Access(a, write)
-					if fr.Hit != rr.Hit || fr.WriteBack != rr.WriteBack ||
-						(fr.WriteBack && fr.WritebackAddr != rr.WritebackAddr) {
-						t.Fatalf("%+v op %d: Access(%#x, write=%v) fast=%+v ref=%+v",
-							ccfg, i, a, write, fr, rr)
-					}
-				case 5: // page-run translation (the walkBlock hoist)
-					n := uint64(op>>3) & 15
-					if fm, rm := ftlb.AccessN(a, n), rtlb.AccessN(a, n); fm != rm {
-						t.Fatalf("%+v op %d: tlb.AccessN(%#x, %d) fast=%v ref=%v", ccfg, i, a, n, fm, rm)
+					compare(i, a, write, fm, fr)
+				case 5: // a block walk: a run of line reads through lane 0
+					for k := uint64(0); k < uint64(op>>3)&15; k++ {
+						la := a + cache.Addr(k*uint64(ccfg.LineSize))
+						fm, fr := viaLane(0, la, false)
+						compare(i, la, false, fm, fr)
 					}
 				case 6:
 					fp, fd := fast.Invalidate(a)

@@ -6,11 +6,11 @@ import "repro/internal/cache"
 // cache and TLB in paranoid mode. They implement the same abstract
 // machines — a set-associative write-back LRU cache and a fully-
 // associative FIFO TLB — with the most naive data structures available:
-// a plain struct per line, a Go map for the TLB resident set, no memo
-// entries, no packed meta words, no open addressing. Every observable
+// a plain struct per line, a Go map for the TLB resident set, no
+// lanes, no packed meta words, no open addressing. Every observable
 // (hit/miss, writeback and its address, event counts, replacement
 // decisions) must match the fast models bit for bit; any divergence is a
-// bug in the fast path's memo/packing layer and is reported as a
+// bug in the fast path's lane/packing layer and is reported as a
 // Violation by the machine's paranoid hooks.
 //
 // Replacement-policy details replicated from the fast models:
@@ -171,7 +171,7 @@ type RefTLBCounts struct {
 
 // RefTLB is the unmemoized reference TLB model: a map resident set plus
 // a FIFO ring, exactly the structure the fast model's open-addressing
-// table and translation memo replaced.
+// table replaced.
 type RefTLB struct {
 	cfg       cache.TLBConfig
 	pageShift uint
@@ -205,16 +205,6 @@ func (t *RefTLB) Counts() RefTLBCounts { return t.counts }
 // missed.
 func (t *RefTLB) Access(a cache.Addr) bool {
 	t.counts.Accesses++
-	return t.translate(uint64(a) >> t.pageShift)
-}
-
-// AccessN simulates n same-page accesses (one translation, n counted),
-// mirroring the fast model's block-walk entry point.
-func (t *RefTLB) AccessN(a cache.Addr, n uint64) bool {
-	if n == 0 {
-		return false
-	}
-	t.counts.Accesses += n
 	return t.translate(uint64(a) >> t.pageShift)
 }
 

@@ -69,9 +69,7 @@ func TestMutationPriceTableSampled(t *testing.T) {
 		}
 		arr := machine.NewArrayBlocked[int64](m, "a", 1<<12)
 		m.Run(func(p *machine.Proc) {
-			for i := 0; i < arr.Len(); i++ {
-				arr.Load(p, i, machine.Private)
-			}
+			arr.LoadRange(p, 0, arr.Len(), machine.Private)
 		})
 		return m.Checker()
 	}

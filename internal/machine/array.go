@@ -17,7 +17,7 @@ type Array[T any] struct {
 	m      *Machine
 	region *memsys.Region
 	// base caches region.Base() so the per-element address computation
-	// in Load/Store stays free of pointer chasing and inlines into the
+	// in Addr stays free of pointer chasing and inlines into the
 	// sorts' inner loops.
 	base     Addr
 	elemSize int
@@ -130,46 +130,3 @@ func (a *Array[T]) Region() *memsys.Region { return a.region }
 
 // Bytes returns the byte length of n elements.
 func (a *Array[T]) Bytes(n int) int { return n * a.elemSize }
-
-// Load reads element i with the given sharing class, charging the
-// simulated access and returning the value.
-func (a *Array[T]) Load(p *Proc, i int, sh Sharing) T {
-	p.Load(a.Addr(i), sh)
-	return a.Data[i]
-}
-
-// Store writes element i with the given sharing class.
-func (a *Array[T]) Store(p *Proc, i int, v T, sh Sharing) {
-	p.Store(a.Addr(i), sh)
-	a.Data[i] = v
-}
-
-// LoadSeq reads element i as part of a sequential sweep (misses overlap
-// through the MSHRs).
-func (a *Array[T]) LoadSeq(p *Proc, i int, sh Sharing) T {
-	p.LoadSeq(a.Addr(i), sh)
-	return a.Data[i]
-}
-
-// StoreSeq writes element i as part of a sequential sweep.
-func (a *Array[T]) StoreSeq(p *Proc, i int, v T, sh Sharing) {
-	p.StoreSeq(a.Addr(i), sh)
-	a.Data[i] = v
-}
-
-// LoadRange charges a sequential read of elements [lo, hi). The caller
-// reads a.Data[lo:hi] directly for the values.
-func (a *Array[T]) LoadRange(p *Proc, lo, hi int, sh Sharing) {
-	if hi <= lo {
-		return
-	}
-	p.LoadBlock(a.Addr(lo), (hi-lo)*a.elemSize, sh)
-}
-
-// StoreRange charges a sequential write of elements [lo, hi).
-func (a *Array[T]) StoreRange(p *Proc, lo, hi int, sh Sharing) {
-	if hi <= lo {
-		return
-	}
-	p.StoreBlock(a.Addr(lo), (hi-lo)*a.elemSize, sh)
-}

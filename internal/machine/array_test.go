@@ -45,6 +45,11 @@ func TestArrayGrowBeyondCapacityPanics(t *testing.T) {
 	a.Grow(101)
 }
 
+// TestArrayLoadStoreRoundTrip checks that the charging API leaves Data
+// to the caller — a value stored beside a write cursor's access reads
+// back after a gather and a range load — and that each call charges
+// exactly the accesses it names: one per cursor access or gathered
+// index, one per cache line of a range.
 func TestArrayLoadStoreRoundTrip(t *testing.T) {
 	m := testMachine(t, 2)
 	a := NewArrayOnProc[uint32](m, "x", 128, 0)
@@ -52,20 +57,35 @@ func TestArrayLoadStoreRoundTrip(t *testing.T) {
 		if p.ID != 0 {
 			return
 		}
-		a.Store(p, 7, 99, Private)
-		if got := a.Load(p, 7, Private); got != 99 {
-			t.Errorf("Load = %d", got)
+		accesses := func(charge func()) uint64 {
+			before := p.cache.Stats().Accesses
+			charge()
+			return p.cache.Stats().Accesses - before
 		}
-		a.StoreSeq(p, 8, 100, Private)
-		if got := a.LoadSeq(p, 8, Private); got != 100 {
-			t.Errorf("LoadSeq = %d", got)
+		var w SeqCursor
+		a.OpenCursor(&w, p, true, Private)
+		if n := accesses(func() { a.Data[7] = 99; w.Access(7) }); n != 1 {
+			t.Errorf("cursor access charged %d accesses, want 1", n)
+		}
+		if n := accesses(func() { a.GatherLoad(p, []int64{7, 8, 7}, Private, 1) }); n != 3 {
+			t.Errorf("GatherLoad of 3 indices charged %d accesses, want 3", n)
+		}
+		lines := uint64(a.Bytes(a.Len()) / p.m.cfg.Cache.LineSize)
+		if n := accesses(func() { a.LoadRange(p, 0, a.Len(), Private) }); n != lines {
+			t.Errorf("LoadRange charged %d accesses, want one per line (%d)", n, lines)
+		}
+		if n := accesses(func() { a.StoreRange(p, 5, 5, Private) }); n != 0 {
+			t.Errorf("empty StoreRange charged %d accesses", n)
+		}
+		if a.Data[7] != 99 {
+			t.Errorf("Data[7] = %d, want 99", a.Data[7])
 		}
 	})
 }
 
 func TestSeqAccessCheaperThanScattered(t *testing.T) {
-	// The same miss pattern costs less via LoadSeq (MSHR overlap) than
-	// via Load (dependent access).
+	// The same miss pattern costs less through a sequential cursor (MSHR
+	// overlap) than through a gather (dependent accesses).
 	m := testMachine(t, 2)
 	a := NewArrayOnProc[uint32](m, "seq", 1<<16, 0)
 	b := NewArrayOnProc[uint32](m, "scat", 1<<16, 0)
@@ -75,14 +95,16 @@ func TestSeqAccessCheaperThanScattered(t *testing.T) {
 			return
 		}
 		before := p.Stats().Breakdown.LMem
+		var r SeqCursor
+		a.OpenCursor(&r, p, false, Private)
+		var idx []int64
 		for i := 0; i < a.Len(); i += 32 {
-			a.LoadSeq(p, i, Private)
+			r.Access(i)
+			idx = append(idx, int64(i))
 		}
 		seqCost = p.Stats().Breakdown.LMem - before
 		before = p.Stats().Breakdown.LMem
-		for i := 0; i < b.Len(); i += 32 {
-			b.Load(p, i, Private)
-		}
+		b.GatherLoad(p, idx, Private, 0)
 		scatCost = p.Stats().Breakdown.LMem - before
 	})
 	if seqCost >= scatCost {

@@ -32,11 +32,11 @@ func TestDeclaredClassesMatchLiveDirectory(t *testing.T) {
 	m.Run(func(p *Proc) {
 		switch p.ID {
 		case 4:
-			arr.Store(p, 0, 7, Private)
+			storeAt(p, arr, 0, 7, Private)
 		case 0:
 			m.Barrier(p)
 			before := p.Stats().Breakdown.RMem
-			arr.Load(p, 0, RemoteProduced)
+			loadAt(p, arr, 0, RemoteProduced)
 			got = p.Stats().Breakdown.RMem - before
 		}
 		if p.ID != 0 {
@@ -68,11 +68,11 @@ func TestDeclaredWriteMatchesOwnershipTransfer(t *testing.T) {
 			return
 		}
 		before := p.Stats().Breakdown.RMem
-		arr.Load(p, 0, Private) // fill... (read first so the write below is a write hit?)
+		loadAt(p, arr, 0, Private) // fill... (read first so the write below is a write hit?)
 		_ = before
 		// Use a distinct line for the pure write-miss measurement.
 		before = p.Stats().Breakdown.RMem
-		arr.Store(p, 32, 1, ConflictWrite) // second cache line of the array
+		storeAt(p, arr, 32, 1, ConflictWrite) // second cache line of the array
 		got = p.Stats().Breakdown.RMem - before
 	})
 	// Stores post through the write buffer: the charge is the protocol

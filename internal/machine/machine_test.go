@@ -13,6 +13,19 @@ func testMachine(t *testing.T, procs int) *Machine {
 	return m
 }
 
+// loadAt and storeAt charge one dependent read, or one write posted
+// through the write buffer, of element i through the per-access
+// reference path p.access.
+func loadAt[T any](p *Proc, a *Array[T], i int, sh Sharing) T {
+	p.access(a.Addr(i), false, sh, 1)
+	return a.Data[i]
+}
+
+func storeAt[T any](p *Proc, a *Array[T], i int, v T, sh Sharing) {
+	p.access(a.Addr(i), true, sh, p.m.cfg.MissOverlap)
+	a.Data[i] = v
+}
+
 func TestConfigValidateDefaults(t *testing.T) {
 	cfg := Origin2000(64)
 	if err := cfg.Validate(); err != nil {
@@ -79,8 +92,8 @@ func TestRunIsDeterministic(t *testing.T) {
 			n := src.Len() / m.Procs()
 			lo := p.ID * n
 			for i := lo; i < lo+n; i++ {
-				v := src.Load(p, i, Private)
-				dst.Store(p, (i+7919)%dst.Len(), v+uint32(i), RemoteProduced)
+				v := loadAt(p, src, i, Private)
+				storeAt(p, dst, (i+7919)%dst.Len(), v+uint32(i), RemoteProduced)
 			}
 			m.Barrier(p)
 			p.Compute(10)
@@ -320,7 +333,7 @@ func TestTLBMissesCharged(t *testing.T) {
 			return
 		}
 		for i := 0; i < arr.Len(); i += pageWords {
-			arr.Load(p, i, Private)
+			loadAt(p, arr, i, Private)
 		}
 	})
 	ps := res.PerProc[0]
@@ -381,7 +394,7 @@ func TestResetMemory(t *testing.T) {
 	arr := NewArrayOnProc[uint32](m, "x", 64, 0)
 	m.Run(func(p *Proc) {
 		if p.ID == 0 {
-			arr.Load(p, 0, Private)
+			loadAt(p, arr, 0, Private)
 		}
 	})
 	if !m.Proc(0).CacheContains(arr.Addr(0)) {

@@ -19,10 +19,10 @@ import (
 //
 // What is checked, per access:
 //
-//   - TLB miss/hit vs check.RefTLB (map + FIFO ring, no memos, no open
+//   - TLB miss/hit vs check.RefTLB (map + FIFO ring, no lanes, no open
 //     addressing).
 //   - Cache hit/miss/writeback (and the writeback's address) vs
-//     check.RefCache (plain structs, no memo entries, no packed meta).
+//     check.RefCache (plain structs, no lanes, no packed meta).
 //   - The page's home node vs memsys.ReferenceHomeOf (fresh region walk,
 //     bypassing the flat page table and the lastRegion memo).
 //   - The memoized price entry the hot path reads — through the same
@@ -43,8 +43,8 @@ import (
 //     sum to Traffic.ProtocolTransactions and match the trace's TxClass
 //     counters when tracing is on.
 //
-// Paranoid mode also forces walkBlock through the plain per-access loop
-// (see proc.go), so the page-run hoisting of the fast path is itself
+// Full paranoid mode also routes every access of the lane step through
+// p.access (see stream.go), so the lanes of the fast path are themselves
 // differentially tested: a paranoid run must still produce byte-
 // identical outputs.
 
@@ -441,8 +441,9 @@ func (pc *paranoid) finishTx(p *Proc, ps ProcStats) {
 	}
 }
 
-// CorruptCacheMemoForTest poisons this processor's cache line memo (see
-// cache.CorruptMemoForTest). The paranoid mutation tests use it to
-// prove the differential oracle detects memo-layer corruption; it must
+// CorruptCacheTagForTest retags a resident line of this processor's
+// cache as a's line (see cache.CorruptTagForTest) and reports whether a's
+// set held a line to retag. The paranoid mutation tests use it to prove
+// the differential oracle detects corruption of the fast cache; it must
 // never be called outside tests.
-func (p *Proc) CorruptCacheMemoForTest(a Addr) { p.cache.CorruptMemoForTest(a) }
+func (p *Proc) CorruptCacheTagForTest(a Addr) bool { return p.cache.CorruptTagForTest(a) }

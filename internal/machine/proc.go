@@ -78,14 +78,13 @@ type Proc struct {
 	// TestParanoidDisabledZeroAlloc).
 	pc *paranoid
 
-	// Stream-kernel scratch (stream.go): private cache/TLB lanes for the
-	// kernels' source and table streams, plus a growable per-bucket lane
-	// set for scatter targets. Persistent on the Proc so steady-state
-	// kernel calls are allocation-free (TestStreamKernelsZeroAlloc).
-	sTLB   [2]cache.TLBLane
-	sLane  [2]cache.Lane
-	bLanes []cache.Lane
-	tLanes []cache.Lane
+	// Lanes of the access step (stream.go): one for the sequential
+	// source of a kernel, a gather or a block walk, plus growable
+	// per-bucket sets for the kernels' histogram and scatter streams.
+	// Persistent on the Proc so steady-state kernel calls are
+	// allocation-free (TestStreamKernelsZeroAlloc).
+	lane               lane
+	tblLanes, dstLanes []lane
 }
 
 func newProc(m *Machine, id int) *Proc {
@@ -100,6 +99,7 @@ func newProc(m *Machine, id int) *Proc {
 		classRow:   m.prices.classOf[node*n : (node+1)*n],
 		contention: 1,
 	}
+	p.lane.reset()
 	if m.checker != nil {
 		p.pc = newParanoid(m, m.checker)
 	}
@@ -342,17 +342,12 @@ func (p *Proc) missCharge(a Addr, write bool, sh Sharing, overlap float64) {
 	if p.pc != nil {
 		p.pc.checkMiss(p, a, write, sh, home)
 	}
-	p.missChargeHome(home, write, sh, overlap)
-}
-
-// missChargeHome prices a (non-flat-memory) miss on a line homed at
-// home. The charge comes from the machine's memoized pricing table; the
-// table is built by the live coherence.Protocol at Machine.New, so the
-// charged floats are bit-identical to the per-miss protocol walk it
-// replaced (TestPriceTableMatchesProtocol).
-func (p *Proc) missChargeHome(home int, write bool, sh Sharing, overlap float64) {
-	// Sharing constants mirror trace.TxClass order, so the conversion is
-	// a cast (checked by TestSharingTxClassAlignment).
+	// The charge comes from the machine's memoized pricing table; the
+	// table is built by the live coherence.Protocol at Machine.New, so
+	// the charged floats are bit-identical to the per-miss protocol walk
+	// it replaced (TestPriceTableMatchesProtocol). Sharing constants
+	// mirror trace.TxClass order, so the conversion is a cast (checked by
+	// TestSharingTxClassAlignment).
 	p.countTx(trace.TxClass(sh))
 	e := &p.m.prices.miss[priceClass(sh, write)][p.classRow[home]]
 	p.stats.Traffic.ProtocolTransactions++
@@ -387,100 +382,6 @@ func (p *Proc) chargeWriteback(a Addr) {
 		return
 	}
 	p.chargeLocal(e.latencyNs)
-}
-
-// Load simulates a scattered (dependent, unoverlapped) read of the line
-// containing a.
-func (p *Proc) Load(a Addr, sh Sharing) { p.access(a, false, sh, 1) }
-
-// Store simulates a scattered write to the line containing a. Stores
-// post through the write buffer, so even scattered write misses overlap
-// like streams; sustained scatter is throttled by the contention model,
-// not by per-store round trips.
-func (p *Proc) Store(a Addr, sh Sharing) { p.access(a, true, sh, p.m.cfg.MissOverlap) }
-
-// LoadSeq simulates one read within a sequential sweep: misses overlap
-// through the MSHRs, so their latency divides by Config.MissOverlap.
-func (p *Proc) LoadSeq(a Addr, sh Sharing) {
-	p.access(a, false, sh, p.m.cfg.MissOverlap)
-}
-
-// StoreSeq simulates one write within a sequential sweep.
-func (p *Proc) StoreSeq(a Addr, sh Sharing) {
-	p.access(a, true, sh, p.m.cfg.MissOverlap)
-}
-
-// LoadBlock simulates a sequential read of [a, a+bytes), touching each
-// cache line once with stream overlap.
-func (p *Proc) LoadBlock(a Addr, bytes int, sh Sharing) {
-	p.walkBlock(a, bytes, false, sh)
-}
-
-// StoreBlock simulates a sequential write of [a, a+bytes).
-func (p *Proc) StoreBlock(a Addr, bytes int, sh Sharing) {
-	p.walkBlock(a, bytes, true, sh)
-}
-
-// walkBlock touches each cache line of [a, a+bytes) once with stream
-// overlap, chunked into page runs: the TLB translation and the page's
-// home node are invariants of a run, so they are resolved once per page
-// instead of once per line. Charge order — TLB refill at the first line
-// of a page, then per-line writeback/miss charges — matches the legacy
-// per-line walk exactly, so virtual times are byte-identical.
-func (p *Proc) walkBlock(a Addr, bytes int, write bool, sh Sharing) {
-	if bytes <= 0 {
-		return
-	}
-	cfg := &p.m.cfg
-	line := Addr(cfg.Cache.LineSize)
-	end := a + Addr(bytes)
-	overlap := cfg.MissOverlap
-	la := p.cache.LineAddr(a)
-	pageSize := Addr(cfg.TLB.PageSize)
-	if line > pageSize || p.pc != nil {
-		// Degenerate geometry (line larger than page): no page run to
-		// hoist; take the per-access path. Paranoid mode takes it too:
-		// routing every block access through the fully-hooked per-access
-		// path both shadows each reference individually and turns the
-		// byte-identical-outputs requirement into a whole-run
-		// differential test of the page-run hoisting below.
-		for ; la < end; la += line {
-			p.access(la, write, sh, overlap)
-		}
-		return
-	}
-	as := p.m.as
-	for la < end {
-		// One page run: lines in [la, runEnd). Lines never straddle
-		// pages (both sizes are powers of two with line <= page).
-		runEnd := (la &^ (pageSize - 1)) + pageSize
-		if runEnd > end {
-			runEnd = end
-		}
-		nLines := uint64((runEnd - la + line - 1) / line)
-		if p.tlb.AccessN(la, nLines) {
-			p.chargeLocal(cfg.TLBMissNs)
-		}
-		home, uniform := as.PageHome(la)
-		for ; la < runEnd; la += line {
-			res := p.cache.Access(la, write)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if res.Hit {
-				continue
-			}
-			if cfg.FlatMemory {
-				p.chargeLocal(cfg.Topology.LocalLatency)
-				continue
-			}
-			h := home
-			if !uniform {
-				h = as.HomeOf(la)
-			}
-			p.missChargeHome(h, write, sh, overlap)
-		}
-	}
 }
 
 // BulkTransfer simulates a pipelined block transfer of bytes between this
@@ -540,9 +441,6 @@ func (p *Proc) InvalidateRange(a Addr, bytes int) {
 	line := Addr(p.m.cfg.Cache.LineSize)
 	end := a + Addr(bytes)
 	for la := p.cache.LineAddr(a); la < end; la += line {
-		present, dirty := p.cache.Invalidate(la)
-		if p.pc != nil {
-			p.pc.checkInvalidate(p, la, present, dirty)
-		}
+		p.InvalidateLine(la)
 	}
 }

@@ -2,164 +2,137 @@ package machine
 
 import "repro/internal/cache"
 
-// This file is the batched access-stream engine (DESIGN.md §13): kernels
-// that charge an entire inner loop — a sequential source sweep, a
-// per-element gather/scatter target, and the interleaved Compute cost —
-// in one call instead of three wrapper calls per element. The kernels
-// hoist everything the per-element path re-derives each iteration (cfg
-// fields, phase accumulator, tracer and paranoid nil checks) and give
-// each access stream a private cache/TLB lane (cache.Lane, cache.TLBLane)
-// so a stream's same-line and same-page runs resolve in one inlined
-// compare — the LaneHit fast path — instead of fighting the other
-// streams for the shared memo entries.
+// This file is the machine's one access path (DESIGN.md §13). Every
+// simulated reference a program charges — a stream kernel's element, a
+// cursor's element, a block walk's line — goes through step, which
+// resolves it against the issuing stream's private lane. The kernels
+// charge an entire inner loop in one call and hoist what the loop would
+// re-derive per element; each access stream gets its own lane so its
+// same-line and same-page runs resolve in one inlined compare instead of
+// a probe.
 //
-// Equivalence contract: every kernel charges exactly what the equivalent
-// per-element wrapper loop charges — same counters, same replacement
-// decisions, same float addition order — so simulated results are
-// bit-identical whichever API a sort uses (TestStreamEquivalence,
-// FuzzAccessOracle). Under full paranoid mode the kernels route every
-// access through the fully hooked per-access path instead, exactly like
-// walkBlock, which turns any `-paranoid` run into a whole-run
-// differential test of the kernels; spot-sampled paranoid mode
-// (Config.ParanoidSampleEvery > 1) keeps the fast path, whose misses
-// still flow through the hooked missCharge.
+// Equivalence contract: lanes only skip probes whose outcome they can
+// prove, so step charges exactly what p.access charges — same counters,
+// same replacement decisions, same float addition order — and simulated
+// results are bit-identical to the per-access reference path
+// (TestStreamEquivalence, FuzzAccessOracle). Under full paranoid mode
+// step's miss half takes p.access itself, which turns any `-paranoid`
+// run into a whole-run differential test of the lanes; spot-sampled
+// paranoid mode (Config.ParanoidSampleEvery > 1) keeps the lanes, whose
+// misses still flow through the hooked missCharge.
 
-// grownLanes returns a reset lane scratch of b lanes backed by *store.
-// The backing array is retained across calls, so steady-state kernels
-// allocate nothing. Kernels use one scratch per per-bucket stream (the
-// histogram gather, the scatter target): indexing lanes by bucket turns
-// an access pattern that defeats any single memo — consecutive elements
-// land in different buckets — back into per-bucket same-line runs that
-// resolve on the inlined LaneHit path.
-func grownLanes(store *[]cache.Lane, b int) []cache.Lane {
-	ls := *store
-	if cap(ls) < b {
-		ls = make([]cache.Lane, b)
-		*store = ls
+// A lane is one access stream's private TLB and cache lane. Both halves
+// are self-validating, so a lane needs no registration and no closing,
+// and a lane left over from an earlier stream is as exact as a fresh one.
+type lane struct {
+	tlb  cache.TLBLane
+	line cache.Lane
+}
+
+// reset empties both halves of the lane.
+func (l *lane) reset() { l.tlb.Reset(); l.line.Reset() }
+
+// step charges one memory reference of the stream owning l: the TLB lane
+// (a miss probes, and a TLB miss charges TLBMissNs), then the cache lane
+// (a miss probes, charges any dirty eviction, then prices the cache miss
+// by its sharing class). overlap divides the miss latency: 1 for
+// dependent accesses, Config.MissOverlap for streams whose misses
+// pipeline through the MSHRs.
+//
+// step is hit, then miss if hit declines. hit is small enough to inline
+// but step is not, so the hot loops spell it out as
+// `if !p.hit(...) { p.miss(...) }` and a lane hit costs no call.
+func (p *Proc) step(l *lane, a Addr, write bool, sh Sharing, overlap float64) {
+	if !p.hit(l, a, write) {
+		p.miss(l, a, write, sh, overlap)
 	}
-	ls = ls[:b]
-	for i := range ls {
-		ls[i].Reset()
+}
+
+// hit completes a reference that hits both halves of l and reports
+// whether it did. It leaves the reference to miss otherwise, having
+// counted the translation if the TLB lane hit and nothing else.
+func (p *Proc) hit(l *lane, a Addr, write bool) bool {
+	return p.tlb.LaneHit(&l.tlb, a) && p.cache.LaneHit(&l.line, a, write)
+}
+
+// miss completes a reference hit declined. Under full paranoid mode
+// lanes never capture, so every reference lands here with its TLB lane
+// missed and takes the shadowed p.access instead.
+func (p *Proc) miss(l *lane, a Addr, write bool, sh Sharing, overlap float64) {
+	if !p.tlb.LaneHolds(&l.tlb, a) {
+		// The TLB lane missed, so hit changed nothing.
+		if p.pc != nil && p.pc.perAccess() {
+			p.access(a, write, sh, overlap)
+			return
+		}
+		if p.tlb.LaneRefill(&l.tlb, a) {
+			p.chargeLocal(p.m.cfg.TLBMissNs)
+		}
+		if p.cache.LaneHit(&l.line, a, write) {
+			return
+		}
 	}
-	return ls
+	res := p.cache.AccessLaneMiss(&l.line, a, write)
+	if res.WriteBack {
+		p.chargeWriteback(res.WritebackAddr)
+	}
+	if !res.Hit {
+		p.missCharge(a, write, sh, overlap)
+	}
 }
 
-// LoadStream charges a sequential read sweep of n elemSize-byte elements
-// starting at a, with opsPerElem busy operations interleaved after each
-// element — equivalent to `for each element { LoadSeq; Compute }`.
-func (p *Proc) LoadStream(a Addr, elemSize, n int, sh Sharing, opsPerElem int) {
-	p.seqStream(a, elemSize, n, false, sh, opsPerElem)
+// bucketLanes returns b lanes backed by *store, growing it on demand; the
+// backing array is retained across calls, so steady-state kernels
+// allocate nothing. Kernels use one lane per digit bucket for the
+// histogram and scatter streams: indexing lanes by bucket turns an
+// access pattern that defeats any single lane — consecutive elements
+// land in different buckets — back into per-bucket same-line and
+// same-page runs.
+func bucketLanes(store *[]lane, b int) []lane {
+	if cap(*store) < b {
+		*store = make([]lane, b)
+		for i := range *store {
+			(*store)[i].reset()
+		}
+	}
+	return (*store)[:b]
 }
 
-// StoreStream charges a sequential write sweep of n elements starting at
-// a, with opsPerElem busy operations per element.
-func (p *Proc) StoreStream(a Addr, elemSize, n int, sh Sharing, opsPerElem int) {
-	p.seqStream(a, elemSize, n, true, sh, opsPerElem)
-}
-
-func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops int) {
-	if n <= 0 {
+// walkBlock touches each cache line of [a, a+bytes) once with stream
+// overlap. The block's lane probes the TLB once per page run.
+func (p *Proc) walkBlock(a Addr, bytes int, write bool, sh Sharing) {
+	if bytes <= 0 {
 		return
 	}
-	cfg := &p.m.cfg
-	opNs := float64(ops) * cfg.OpNs
-	es := Addr(elemSize)
-	if p.pc != nil && p.pc.perAccess() {
-		for i := 0; i < n; i++ {
-			p.access(a, write, sh, cfg.MissOverlap)
-			p.ComputeNs(opNs)
-			a += es
-		}
-		return
+	line := Addr(p.m.cfg.Cache.LineSize)
+	ov := p.m.cfg.MissOverlap
+	end := a + Addr(bytes)
+	for la := p.cache.LineAddr(a); la < end; la += line {
+		p.step(&p.lane, la, write, sh, ov)
 	}
-	t, c := p.tlb, p.cache
-	tl, cl := &p.sTLB[0], &p.sLane[0]
-	t.AttachLane(tl)
-	cl.Reset()
-	ov, tlbNs := cfg.MissOverlap, cfg.TLBMissNs
-	acc := p.phaseAcc
-	for i := 0; i < n; i++ {
-		if !t.LaneHit(tl, a) {
-			if t.LaneRefill(tl, a) {
-				p.chargeLocal(tlbNs)
-			}
-		}
-		if !c.LaneHit(cl, a, write) {
-			res := c.AccessLaneMiss(cl, a, write)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(a, write, sh, ov)
-			}
-		}
-		p.clock += opNs
-		p.stats.Breakdown.Busy += opNs
-		if acc != nil {
-			acc.Busy += opNs
-		}
-		a += es
-	}
-	t.DetachLanes()
 }
 
-// GatherStream charges n dependent reads of elements base+idx[i] —
-// equivalent to `for each i { Load(idx[i]); Compute }`. Gathered reads
-// are dependent accesses, so misses do not overlap.
-func (p *Proc) GatherStream(base Addr, elemSize int, idx []int64, sh Sharing, opsPerElem int) {
-	p.idxStream(base, elemSize, idx, false, 1, sh, opsPerElem)
+// LoadRange charges a sequential read of elements [lo, hi), touching
+// each cache line once (a block transfer). The caller reads
+// a.Data[lo:hi] directly for the values.
+func (a *Array[T]) LoadRange(p *Proc, lo, hi int, sh Sharing) {
+	p.walkBlock(a.Addr(lo), (hi-lo)*a.elemSize, false, sh)
 }
 
-// ScatterStream charges len(idx) writes of elements base+idx[i] —
-// equivalent to `for each i { Store(idx[i]); Compute }`. Stores post
-// through the write buffer, so scattered write misses overlap like
-// streams (see Proc.Store).
-func (p *Proc) ScatterStream(base Addr, elemSize int, idx []int64, sh Sharing, opsPerElem int) {
-	p.idxStream(base, elemSize, idx, true, p.m.cfg.MissOverlap, sh, opsPerElem)
+// StoreRange charges a sequential write of elements [lo, hi).
+func (a *Array[T]) StoreRange(p *Proc, lo, hi int, sh Sharing) {
+	p.walkBlock(a.Addr(lo), (hi-lo)*a.elemSize, true, sh)
 }
 
-func (p *Proc) idxStream(base Addr, elemSize int, idx []int64, write bool, overlap float64, sh Sharing, ops int) {
-	if len(idx) == 0 {
-		return
-	}
-	cfg := &p.m.cfg
-	opNs := float64(ops) * cfg.OpNs
-	if p.pc != nil && p.pc.perAccess() {
-		for _, ix := range idx {
-			p.access(base+Addr(int(ix)*elemSize), write, sh, overlap)
-			p.ComputeNs(opNs)
-		}
-		return
-	}
-	t, c := p.tlb, p.cache
-	tl, cl := &p.sTLB[0], &p.sLane[0]
-	t.AttachLane(tl)
-	cl.Reset()
-	tlbNs := cfg.TLBMissNs
-	acc := p.phaseAcc
+// GatherLoad charges dependent reads of elements idx[0..] with
+// opsPerElem busy operations after each. Gathered reads are dependent
+// accesses, so their misses do not overlap.
+func (a *Array[T]) GatherLoad(p *Proc, idx []int64, sh Sharing, opsPerElem int) {
+	opNs := float64(opsPerElem) * p.m.cfg.OpNs
 	for _, ix := range idx {
-		a := base + Addr(int(ix)*elemSize)
-		if !t.LaneHit(tl, a) {
-			if t.LaneRefill(tl, a) {
-				p.chargeLocal(tlbNs)
-			}
-		}
-		if !c.LaneHit(cl, a, write) {
-			res := c.AccessLaneMiss(cl, a, write)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(a, write, sh, overlap)
-			}
-		}
-		p.clock += opNs
-		p.stats.Breakdown.Busy += opNs
-		if acc != nil {
-			acc.Busy += opNs
-		}
+		p.step(&p.lane, a.Addr(int(ix)), false, sh, 1)
+		p.ComputeNs(opNs)
 	}
-	t.DetachLanes()
 }
 
 // CountStream charges a radix counting pass over src.Data[lo:lo+n]: per
@@ -172,77 +145,23 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 	if n <= 0 {
 		return
 	}
-	cfg := &p.m.cfg
-	opNs := float64(opsPerElem) * cfg.OpNs
-	sd := src.Data[lo : lo+n]
+	opNs := float64(opsPerElem) * p.m.cfg.OpNs
+	ov := p.m.cfg.MissOverlap
 	td := tbl.Data
-	srcA := src.base + Addr(lo*src.elemSize)
-	srcES := Addr(src.elemSize)
-	tblBase, tblES := tbl.base, tbl.elemSize
-	if p.pc != nil && p.pc.perAccess() {
-		ov := cfg.MissOverlap
-		for i := range sd {
-			p.access(srcA, false, srcSh, ov)
-			d := int(sd[i] >> shift & mask)
-			p.access(tblBase+Addr(d*tblES), false, tblSh, 1)
-			td[d]++
-			p.ComputeNs(opNs)
-			srcA += srcES
+	srcA, srcES := src.Addr(lo), Addr(src.elemSize)
+	tl := bucketLanes(&p.tblLanes, int(mask)+1)
+	for _, k := range src.Data[lo : lo+n] {
+		if !p.hit(&p.lane, srcA, false) {
+			p.miss(&p.lane, srcA, false, srcSh, ov)
 		}
-		return
-	}
-	t, c := p.tlb, p.cache
-	sT, tT := &p.sTLB[0], &p.sTLB[1]
-	sL := &p.sLane[0]
-	t.AttachLane(sT)
-	t.AttachLane(tT)
-	sL.Reset()
-	// The histogram is indexed by a near-random digit, which defeats any
-	// single memo; one lane per bucket pins each bucket's (shared) line so
-	// steady-state table reads resolve on the inlined hit path.
-	tl := grownLanes(&p.tLanes, int(mask)+1)
-	ov, tlbNs := cfg.MissOverlap, cfg.TLBMissNs
-	acc := p.phaseAcc
-	for i := range sd {
-		if !t.LaneHit(sT, srcA) {
-			if t.LaneRefill(sT, srcA) {
-				p.chargeLocal(tlbNs)
-			}
-		}
-		if !c.LaneHit(sL, srcA, false) {
-			res := c.AccessLaneMiss(sL, srcA, false)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(srcA, false, srcSh, ov)
-			}
-		}
-		d := int(sd[i] >> shift & mask)
-		ta := tblBase + Addr(d*tblES)
-		if !t.LaneHit(tT, ta) {
-			if t.LaneRefill(tT, ta) {
-				p.chargeLocal(tlbNs)
-			}
-		}
-		if !c.LaneHit(&tl[d], ta, false) {
-			res := c.AccessLaneMiss(&tl[d], ta, false)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(ta, false, tblSh, 1)
-			}
+		d := int(k >> shift & mask)
+		if ta := tbl.Addr(d); !p.hit(&tl[d], ta, false) {
+			p.miss(&tl[d], ta, false, tblSh, 1)
 		}
 		td[d]++
-		p.clock += opNs
-		p.stats.Breakdown.Busy += opNs
-		if acc != nil {
-			acc.Busy += opNs
-		}
+		p.ComputeNs(opNs)
 		srcA += srcES
 	}
-	t.DetachLanes()
 }
 
 // PermuteStream charges a radix permutation pass: per element, one
@@ -250,120 +169,46 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 // dependent read of tbl[digit] (tblSh, the position-counter access), the
 // position bump pos[digit]++, the key's scattered write to
 // dst[pos] (dstSh), and opsPerElem busy operations. It is the batched
-// equivalent of sorts' permutePass inner loop.
-//
-// The scatter target gets one cache lane per digit bucket: each bucket's
-// writes walk its output run sequentially, so per-bucket lanes turn the
-// scatter — which defeats both the shared memo and a single lane — back
-// into mask+1 independent same-line runs. The TLB keeps its shared
-// memo path for the scatter stream; per-bucket TLB lanes would make
-// every TLB eviction scan mask+1 registry entries.
+// equivalent of sorts' permutePass inner loop. Each bucket's writes walk
+// its output run sequentially, so the scatter target's per-bucket lanes
+// turn the scatter into mask+1 independent same-line runs.
 func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 	shift uint, mask uint32, tbl *Array[int32], pos []int64,
 	srcSh, tblSh, dstSh Sharing, opsPerElem int) {
 	if n <= 0 {
 		return
 	}
-	cfg := &p.m.cfg
-	opNs := float64(opsPerElem) * cfg.OpNs
-	sd := src.Data[lo : lo+n]
+	opNs := float64(opsPerElem) * p.m.cfg.OpNs
+	ov := p.m.cfg.MissOverlap
 	dd := dst.Data
-	srcA := src.base + Addr(lo*src.elemSize)
-	srcES := Addr(src.elemSize)
-	tblBase, tblES := tbl.base, tbl.elemSize
-	dstBase, dstES := dst.base, dst.elemSize
-	ov := cfg.MissOverlap
-	if p.pc != nil && p.pc.perAccess() {
-		for i := range sd {
-			p.access(srcA, false, srcSh, ov)
-			k := sd[i]
-			d := int(k >> shift & mask)
-			p.access(tblBase+Addr(d*tblES), false, tblSh, 1)
-			at := pos[d]
-			pos[d]++
-			dd[at] = k
-			p.access(dstBase+Addr(int(at)*dstES), true, dstSh, ov)
-			p.ComputeNs(opNs)
-			srcA += srcES
+	srcA, srcES := src.Addr(lo), Addr(src.elemSize)
+	tl := bucketLanes(&p.tblLanes, int(mask)+1)
+	dl := bucketLanes(&p.dstLanes, int(mask)+1)
+	for _, k := range src.Data[lo : lo+n] {
+		if !p.hit(&p.lane, srcA, false) {
+			p.miss(&p.lane, srcA, false, srcSh, ov)
 		}
-		return
-	}
-	t, c := p.tlb, p.cache
-	sT, tT := &p.sTLB[0], &p.sTLB[1]
-	sL := &p.sLane[0]
-	t.AttachLane(sT)
-	t.AttachLane(tT)
-	sL.Reset()
-	tl := grownLanes(&p.tLanes, int(mask)+1)
-	bl := grownLanes(&p.bLanes, int(mask)+1)
-	tlbNs := cfg.TLBMissNs
-	acc := p.phaseAcc
-	for i := range sd {
-		if !t.LaneHit(sT, srcA) {
-			if t.LaneRefill(sT, srcA) {
-				p.chargeLocal(tlbNs)
-			}
-		}
-		if !c.LaneHit(sL, srcA, false) {
-			res := c.AccessLaneMiss(sL, srcA, false)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(srcA, false, srcSh, ov)
-			}
-		}
-		k := sd[i]
 		d := int(k >> shift & mask)
-		ta := tblBase + Addr(d*tblES)
-		if !t.LaneHit(tT, ta) {
-			if t.LaneRefill(tT, ta) {
-				p.chargeLocal(tlbNs)
-			}
-		}
-		if !c.LaneHit(&tl[d], ta, false) {
-			res := c.AccessLaneMiss(&tl[d], ta, false)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(ta, false, tblSh, 1)
-			}
+		if ta := tbl.Addr(d); !p.hit(&tl[d], ta, false) {
+			p.miss(&tl[d], ta, false, tblSh, 1)
 		}
 		at := pos[d]
 		pos[d]++
 		dd[at] = k
-		da := dstBase + Addr(int(at)*dstES)
-		if t.Access(da) {
-			p.chargeLocal(tlbNs)
+		if da := dst.Addr(int(at)); !p.hit(&dl[d], da, true) {
+			p.miss(&dl[d], da, true, dstSh, ov)
 		}
-		if !c.LaneHit(&bl[d], da, true) {
-			res := c.AccessLaneMiss(&bl[d], da, true)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(da, true, dstSh, ov)
-			}
-		}
-		p.clock += opNs
-		p.stats.Breakdown.Busy += opNs
-		if acc != nil {
-			acc.Busy += opNs
-		}
+		p.ComputeNs(opNs)
 		srcA += srcES
 	}
-	t.DetachLanes()
 }
 
 // A SeqCursor charges the accesses of one sequential stream whose
 // elements are consumed on demand rather than in a closed loop — the
 // multiway merge's run heads and output head. Each cursor carries its
-// own cache and TLB lane, so several concurrently open cursors (one per
-// merge run) do not evict each other's memo state. Open with
-// Array.OpenCursor; close every cursor of a batch at once with
-// Proc.CloseCursors. The cursor must not be copied while open (its TLB
-// lane is registered by address).
+// own lane, so several concurrently open cursors (one per merge run) do
+// not evict each other's lane state. Open with Array.OpenCursor; a
+// cursor needs no closing.
 type SeqCursor struct {
 	p        *Proc
 	base     Addr
@@ -371,90 +216,21 @@ type SeqCursor struct {
 	sh       Sharing
 	write    bool
 	overlap  float64
-	// slow routes every access through the fully hooked per-access path
-	// (full paranoid mode), mirroring the kernels' fallback.
-	slow bool
-	lane cache.Lane
-	tlb  cache.TLBLane
+	l        lane
 }
 
 // OpenCursor binds cur to this array's address range as a sequential
-// stream of reads (write=false) or writes. Accesses charge like
-// LoadSeq/StoreSeq.
+// stream of reads (write=false) or writes, whose misses overlap through
+// the MSHRs.
 func (a *Array[T]) OpenCursor(cur *SeqCursor, p *Proc, write bool, sh Sharing) {
-	cur.p = p
-	cur.base = a.base
-	cur.elemSize = a.elemSize
-	cur.sh = sh
-	cur.write = write
-	cur.overlap = p.m.cfg.MissOverlap
-	cur.slow = p.pc != nil && p.pc.perAccess()
-	if !cur.slow {
-		cur.lane.Reset()
-		p.tlb.AttachLane(&cur.tlb)
-	}
+	*cur = SeqCursor{p: p, base: a.base, elemSize: a.elemSize, sh: sh,
+		write: write, overlap: p.m.cfg.MissOverlap}
+	cur.l.reset()
 }
 
-// Access charges one access of element i through the cursor's lanes.
+// Access charges one access of element i through the cursor's lane.
 func (cur *SeqCursor) Access(i int) {
-	p := cur.p
-	a := cur.base + Addr(i*cur.elemSize)
-	if cur.slow {
-		p.access(a, cur.write, cur.sh, cur.overlap)
-		return
+	if a := cur.base + Addr(i*cur.elemSize); !cur.p.hit(&cur.l, a, cur.write) {
+		cur.p.miss(&cur.l, a, cur.write, cur.sh, cur.overlap)
 	}
-	t, c := p.tlb, p.cache
-	if !t.LaneHit(&cur.tlb, a) {
-		if t.LaneRefill(&cur.tlb, a) {
-			p.chargeLocal(p.m.cfg.TLBMissNs)
-		}
-	}
-	if !c.LaneHit(&cur.lane, a, cur.write) {
-		res := c.AccessLaneMiss(&cur.lane, a, cur.write)
-		if res.WriteBack {
-			p.chargeWriteback(res.WritebackAddr)
-		}
-		if !res.Hit {
-			p.missCharge(a, cur.write, cur.sh, cur.overlap)
-		}
-	}
-}
-
-// CloseCursors detaches the TLB lanes of every cursor opened on this
-// processor since the last close. Cursor batches must be strictly
-// bracketed (open all, use, close all) and must not overlap stream
-// kernel calls, which bracket their own lanes.
-func (p *Proc) CloseCursors() { p.tlb.DetachLanes() }
-
-// LoadRangeWith charges a sequential read of elements [lo, hi) with
-// opsPerElem busy operations interleaved per element — the batched
-// equivalent of `for i := lo; i < hi; i++ { LoadSeq(i); Compute }`.
-// Unlike LoadRange, which touches each cache line once (a block
-// transfer), this charges one access per element.
-func (a *Array[T]) LoadRangeWith(p *Proc, lo, hi int, sh Sharing, opsPerElem int) {
-	if hi <= lo {
-		return
-	}
-	p.LoadStream(a.Addr(lo), a.elemSize, hi-lo, sh, opsPerElem)
-}
-
-// StoreRangeWith charges a sequential write of elements [lo, hi) with
-// opsPerElem busy operations per element.
-func (a *Array[T]) StoreRangeWith(p *Proc, lo, hi int, sh Sharing, opsPerElem int) {
-	if hi <= lo {
-		return
-	}
-	p.StoreStream(a.Addr(lo), a.elemSize, hi-lo, sh, opsPerElem)
-}
-
-// GatherLoad charges dependent reads of elements idx[0..] with
-// opsPerElem busy operations per element.
-func (a *Array[T]) GatherLoad(p *Proc, idx []int64, sh Sharing, opsPerElem int) {
-	p.GatherStream(a.base, a.elemSize, idx, sh, opsPerElem)
-}
-
-// ScatterStore charges scattered writes of elements idx[0..] with
-// opsPerElem busy operations per element.
-func (a *Array[T]) ScatterStore(p *Proc, idx []int64, sh Sharing, opsPerElem int) {
-	p.ScatterStream(a.base, a.elemSize, idx, sh, opsPerElem)
 }

@@ -59,53 +59,63 @@ func (s *streamTestState) check(t *testing.T, ref *streamTestState, step string)
 	}
 }
 
-// TestStreamEquivalence drives random workloads through the batched
-// stream kernels on one machine and through the equivalent per-element
-// wrapper loops on an identical second machine, asserting bit-identical
-// simulated state after every step: same clock (float addition order
-// included), same breakdowns, same cache/TLB replacement decisions and
-// counters. This is the equivalence contract of DESIGN.md §13 checked
-// end to end on live machines; FuzzAccessOracle covers the lane
-// primitives underneath against the reference models.
+// TestStreamEquivalence drives random workloads through the lane step —
+// block walks, gathers, the stream kernels and cursors — on one machine
+// and through the per-access reference path p.access on an identical
+// second machine, asserting bit-identical simulated state after every
+// round: same clock (float addition order included), same breakdowns,
+// same cache/TLB replacement decisions and counters. This is the
+// equivalence contract of DESIGN.md §13 checked end to end on live
+// machines; FuzzAccessOracle covers the lane primitives underneath
+// against the reference models. Lanes carry over from round to round,
+// so every round also starts the stream side from lanes the intervening
+// accesses may have invalidated.
 func TestStreamEquivalence(t *testing.T) {
 	sv := newStreamTestState(t) // stream side
-	rv := newStreamTestState(t) // per-element side
+	rv := newStreamTestState(t) // per-access side
 	rng := rand.New(rand.NewSource(99))
 	n := sv.keys.Len()
+	seq := sv.m.cfg.MissOverlap
+	line := sv.m.cfg.Cache.LineSize
 
 	idx := make([]int64, 512)
 	pos := make([]int64, 256)
-	for round := 0; round < 20; round++ {
+	for round := 0; round < 24; round++ {
 		lo := rng.Intn(n - 600)
 		cnt := 1 + rng.Intn(500)
 		ops := rng.Intn(9)
 		shift := uint(rng.Intn(3) * 8)
 
 		switch round % 6 {
-		case 0: // sequential load sweep
-			sv.p.LoadStream(sv.keys.Addr(lo), 4, cnt, SharedRead, ops)
-			for i := 0; i < cnt; i++ {
-				rv.p.LoadSeq(rv.keys.Addr(lo+i), SharedRead)
-				rv.p.Compute(ops)
+		case 0: // block walks: a read sweep and a write sweep
+			sv.keys.LoadRange(sv.p, lo, lo+cnt, SharedRead)
+			sv.dst.StoreRange(sv.p, lo, lo+cnt, Private)
+			for _, w := range []struct {
+				arr   *Array[uint32]
+				write bool
+				sh    Sharing
+			}{{rv.keys, false, SharedRead}, {rv.dst, true, Private}} {
+				end := w.arr.Addr(lo + cnt)
+				for a := w.arr.Addr(lo) &^ Addr(line-1); a < end; a += Addr(line) {
+					rv.p.access(a, w.write, w.sh, seq)
+				}
 			}
-		case 1: // sequential store sweep
-			sv.dst.StoreRangeWith(sv.p, lo, lo+cnt, Private, ops)
+		case 1: // a sequential read cursor with interleaved work
+			var sr SeqCursor
+			sv.keys.OpenCursor(&sr, sv.p, false, SharedRead)
 			for i := lo; i < lo+cnt; i++ {
-				rv.p.StoreSeq(rv.dst.Addr(i), Private)
+				sr.Access(i)
+				sv.p.Compute(ops)
+				rv.p.access(rv.keys.Addr(i), false, SharedRead, seq)
 				rv.p.Compute(ops)
 			}
-		case 2: // gather + scatter over random indices
+		case 2: // gather over random indices
 			for i := range idx {
 				idx[i] = int64(rng.Intn(n))
 			}
 			sv.keys.GatherLoad(sv.p, idx, SharedRead, ops)
-			sv.dst.ScatterStore(sv.p, idx, ConflictWrite, ops)
 			for _, ix := range idx {
-				rv.p.Load(rv.keys.Addr(int(ix)), SharedRead)
-				rv.p.Compute(ops)
-			}
-			for _, ix := range idx {
-				rv.p.Store(rv.dst.Addr(int(ix)), ConflictWrite)
+				rv.p.access(rv.keys.Addr(int(ix)), false, SharedRead, 1)
 				rv.p.Compute(ops)
 			}
 		case 3: // radix counting pass
@@ -114,9 +124,9 @@ func TestStreamEquivalence(t *testing.T) {
 			sv.p.CountStream(sv.keys, lo, cnt, SharedRead, shift, 255,
 				sv.hist, Private, ops)
 			for i := lo; i < lo+cnt; i++ {
-				rv.p.LoadSeq(rv.keys.Addr(i), SharedRead)
+				rv.p.access(rv.keys.Addr(i), false, SharedRead, seq)
 				d := int(rv.keys.Data[i] >> shift & 255)
-				rv.p.Load(rv.hist.Addr(d), Private)
+				rv.p.access(rv.hist.Addr(d), false, Private, 1)
 				rv.hist.Data[d]++
 				rv.p.Compute(ops)
 			}
@@ -129,14 +139,14 @@ func TestStreamEquivalence(t *testing.T) {
 			sv.p.PermuteStream(sv.keys, sv.dst, lo, min(cnt, 256*8),
 				shift, 255, sv.hist, sPos, SharedRead, Private, ConflictWrite, ops)
 			for i := lo; i < lo+min(cnt, 256*8); i++ {
-				rv.p.LoadSeq(rv.keys.Addr(i), SharedRead)
+				rv.p.access(rv.keys.Addr(i), false, SharedRead, seq)
 				k := rv.keys.Data[i]
 				d := int(k >> shift & 255)
-				rv.p.Load(rv.hist.Addr(d), Private)
+				rv.p.access(rv.hist.Addr(d), false, Private, 1)
 				at := rPos[d]
 				rPos[d]++
 				rv.dst.Data[at] = k
-				rv.p.Store(rv.dst.Addr(int(at)), ConflictWrite)
+				rv.p.access(rv.dst.Addr(int(at)), true, ConflictWrite, seq)
 				rv.p.Compute(ops)
 			}
 			if !reflect.DeepEqual(sPos, rPos) {
@@ -149,29 +159,42 @@ func TestStreamEquivalence(t *testing.T) {
 			for i := 0; i < cnt; i++ {
 				sr.Access(lo + i)
 				sw.Access(lo + cnt - 1 - i)
-			}
-			sv.p.CloseCursors()
-			for i := 0; i < cnt; i++ {
-				rv.p.LoadSeq(rv.keys.Addr(lo+i), SharedRead)
-				rv.p.StoreSeq(rv.dst.Addr(lo+cnt-1-i), Private)
+				rv.p.access(rv.keys.Addr(lo+i), false, SharedRead, seq)
+				rv.p.access(rv.dst.Addr(lo+cnt-1-i), true, Private, seq)
 			}
 		}
-		// A few plain accesses between kernels churn the shared memos, so
-		// later rounds start from a memo state the kernels did not set up.
+		// A few plain accesses and an invalidation between kernels
+		// change cache and TLB state behind the stream side's lanes.
 		for i := 0; i < 8; i++ {
 			rnd := rng.Intn(n)
-			sv.p.Load(sv.keys.Addr(rnd), SharedRead)
-			rv.p.Load(rv.keys.Addr(rnd), SharedRead)
+			sv.p.access(sv.keys.Addr(rnd), i&1 == 0, SharedRead, 1)
+			rv.p.access(rv.keys.Addr(rnd), i&1 == 0, SharedRead, 1)
 		}
+		// Take a line away from under a lane — invalidate it, and every
+		// few rounds flush every cache and TLB — then touch it again
+		// through that lane: the lane must notice its line or page left.
+		r := int64(rng.Intn(n))
+		sv.keys.GatherLoad(sv.p, []int64{r}, SharedRead, 0)
+		rv.p.access(rv.keys.Addr(int(r)), false, SharedRead, 1)
+		rv.p.Compute(0)
+		sv.p.InvalidateLine(sv.keys.Addr(int(r)))
+		rv.p.InvalidateLine(rv.keys.Addr(int(r)))
+		if round%4 == 3 {
+			sv.m.ResetMemory()
+			rv.m.ResetMemory()
+		}
+		sv.keys.GatherLoad(sv.p, []int64{r}, SharedRead, 0)
+		rv.p.access(rv.keys.Addr(int(r)), false, SharedRead, 1)
+		rv.p.Compute(0)
 		sv.check(t, rv, "round")
 	}
 }
 
 // TestStreamKernelsZeroAlloc pins the O(1)-allocation contract of the
-// stream engine: once a processor's lane scratch has grown to the radix
-// width (the warm-up run AllocsPerRun performs), every kernel call and
-// cursor access allocates nothing. This is the CI allocation-regression
-// guard for the hot simulation paths.
+// access step: once a processor's lane scratch has grown to the radix
+// width (the warm-up run AllocsPerRun performs), every kernel call,
+// block walk and cursor access allocates nothing. This is the CI
+// allocation-regression guard for the hot simulation paths.
 func TestStreamKernelsZeroAlloc(t *testing.T) {
 	m := testMachine(t, 2)
 	keys := NewArrayBlocked[uint32](m, "keys", 1<<14)
@@ -181,27 +204,21 @@ func TestStreamKernelsZeroAlloc(t *testing.T) {
 	p.resetClock()
 	idx := []int64{3, 99, 7, 4000, 7, 8, 9000, 2}
 	pos := make([]int64, 256)
-	// The cursor lives outside the loop: AttachLane registers its TLB
-	// lane by address, so a cursor declared inside would escape and
-	// heap-allocate per call. Real callers (the multiway merge) hold
-	// their cursors in a slice allocated once per merge.
-	var cur SeqCursor
 	allocs := testing.AllocsPerRun(50, func() {
-		p.LoadStream(keys.Addr(0), 4, 512, SharedRead, 2)
-		p.StoreStream(dst.Addr(0), 4, 512, Private, 1)
+		keys.LoadRange(p, 0, 512, SharedRead)
+		dst.StoreRange(p, 0, 512, Private)
 		keys.GatherLoad(p, idx, SharedRead, 1)
-		dst.ScatterStore(p, idx, ConflictWrite, 1)
 		p.CountStream(keys, 0, 512, SharedRead, 0, 255, hist, Private, 8)
 		for i := range pos {
 			pos[i] = int64(i * 16)
 		}
 		p.PermuteStream(keys, dst, 0, 512, 0, 255, hist, pos,
 			SharedRead, Private, ConflictWrite, 13)
+		var cur SeqCursor
 		keys.OpenCursor(&cur, p, false, SharedRead)
 		for i := 0; i < 64; i++ {
 			cur.Access(i)
 		}
-		p.CloseCursors()
 	})
 	if allocs != 0 {
 		t.Errorf("stream kernels allocate %.1f/op in steady state, want 0", allocs)
@@ -258,51 +275,4 @@ func TestGrowAmortized(t *testing.T) {
 			t.Fatalf("Grow lost element %d", n-1)
 		}
 	}
-}
-
-// Scatter-stream micro-benchmarks: the cache-hit regime (a footprint
-// the cache holds), the miss regime (every access a fresh line), and
-// the run-coalesced regime (sorted indices, so per-bucket lanes see
-// same-line runs). ns/op is per scattered element.
-func benchScatter(b *testing.B, idx []int64) {
-	m, err := New(Origin2000Scaled(4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	arr := NewArrayBlocked[uint32](m, "dst", 1<<22)
-	b.ResetTimer()
-	m.Run(func(p *Proc) {
-		if p.ID != 0 {
-			return
-		}
-		for i := 0; i < b.N; i += len(idx) {
-			arr.ScatterStore(p, idx, ConflictWrite, 1)
-		}
-	})
-}
-
-func BenchmarkScatterStreamHit(b *testing.B) {
-	idx := make([]int64, 4096)
-	rng := rand.New(rand.NewSource(1))
-	for i := range idx {
-		idx[i] = int64(rng.Intn(4096)) // 16 KB footprint, cache-resident
-	}
-	benchScatter(b, idx)
-}
-
-func BenchmarkScatterStreamMiss(b *testing.B) {
-	idx := make([]int64, 4096)
-	rng := rand.New(rand.NewSource(2))
-	for i := range idx {
-		idx[i] = int64(rng.Intn(1 << 22)) // 16 MB footprint, always missing
-	}
-	benchScatter(b, idx)
-}
-
-func BenchmarkScatterStreamCoalesced(b *testing.B) {
-	idx := make([]int64, 4096)
-	for i := range idx {
-		idx[i] = int64(1<<20 + i) // sequential: 16-element same-line runs
-	}
-	benchScatter(b, idx)
 }

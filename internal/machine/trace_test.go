@@ -38,12 +38,12 @@ func TestRunAttachesTrace(t *testing.T) {
 		p.SetPhase("work")
 		lo, hi := p.ID*1024, (p.ID+1)*1024
 		for i := lo; i < hi; i++ {
-			arr.Store(p, i, int64(i), Private)
+			storeAt(p, arr, i, int64(i), Private)
 		}
 		m.Barrier(p)
 		p.SetPhase("read")
 		for i := lo; i < hi; i++ {
-			arr.Load(p, i, Private)
+			loadAt(p, arr, i, Private)
 		}
 		p.SetPhase("")
 	}
@@ -142,13 +142,13 @@ func TestMachineTraceDeterministic(t *testing.T) {
 			p.SetPhase("fill")
 			lo, hi := p.ID*512, (p.ID+1)*512
 			for i := lo; i < hi; i++ {
-				arr.Store(p, i, int64(i), Private)
+				storeAt(p, arr, i, int64(i), Private)
 			}
 			m.Barrier(p)
 			p.SetPhase("steal")
 			peer := (p.ID + 1) % 8
 			for i := peer * 512; i < peer*512+512; i++ {
-				arr.Load(p, i, RemoteProduced)
+				loadAt(p, arr, i, RemoteProduced)
 			}
 			p.SetPhase("")
 		})
@@ -180,13 +180,16 @@ func TestTracingDisabledZeroAlloc(t *testing.T) {
 	p.resetClock()
 	p.SetPhase("hot") // pre-warm the phase accumulator
 	// Touch the array once so the TLB/cache structures are built.
-	arr.Store(p, 0, 1, Private)
+	var w SeqCursor
+	arr.OpenCursor(&w, p, true, Private)
+	w.Access(0)
+	idx := []int64{1}
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		p.ComputeNs(1)
 		p.SetPhase("hot")
-		arr.Store(p, 1, 2, Private)
-		arr.Load(p, 1, Private)
+		w.Access(1)
+		arr.GatherLoad(p, idx, Private, 0)
 		p.WaitUntil(p.Now() - 1)
 		p.TraceEvent(trace.EvSend, 1, 64, 10)
 	})
@@ -215,6 +218,6 @@ func benchAccess(b *testing.B, tracing bool) {
 			b.StartTimer()
 		}
 		p := m.Proc(0)
-		arr.Store(p, i&((1<<14)-1), int64(i), Private)
+		p.step(&p.lane, arr.Addr(i&((1<<14)-1)), true, Private, p.m.cfg.MissOverlap)
 	}
 }

@@ -321,19 +321,3 @@ func (as *AddressSpace) ReferenceHomeOf(a cache.Addr) int {
 	}
 	return r.homeOf(int(a - r.base))
 }
-
-// PageHome returns the home node of the page containing a when every
-// byte of that page resolves to one home, with ok reporting whether it
-// does. Block walks use it to hoist the home lookup out of their
-// per-line loops; when ok is false the caller must resolve each address
-// through HomeOf.
-func (as *AddressSpace) PageHome(a cache.Addr) (home int, ok bool) {
-	pg := uint64(a) >> as.pageShift
-	if pg >= uint64(len(as.pageHome)) {
-		return 0, true
-	}
-	if h := as.pageHome[pg]; h >= 0 {
-		return int(h), true
-	}
-	return 0, false
-}

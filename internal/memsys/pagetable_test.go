@@ -39,10 +39,10 @@ func TestPageTableMatchesClosures(t *testing.T) {
 				t.Fatalf("%s offset %d: legacy walk=%d, closure=%d",
 					r.Name(), off, want, r.HomeOfOffset(off))
 			}
-			// PageHome may decline (mixed page), but when it answers it
-			// must agree with every byte of the page.
-			if h, ok := as.PageHome(a); ok && h != want {
-				t.Fatalf("%s offset %d: PageHome=%d, legacy walk=%d", r.Name(), off, h, want)
+			// A page the table marks uniform must agree with every byte
+			// of the page.
+			if h := as.pageHome[uint64(a)>>as.pageShift]; h != mixedPage && int(h) != want {
+				t.Fatalf("%s offset %d: page table=%d, legacy walk=%d", r.Name(), off, h, want)
 			}
 		}
 	}
@@ -61,16 +61,16 @@ func TestPageTableMatchesClosures(t *testing.T) {
 }
 
 // TestPageTableMixedPagesFallBack checks that a page whose bytes span
-// two homes is marked mixed: PageHome must decline, and HomeOf must
-// still resolve each byte through the legacy walk.
+// two homes is marked mixed in the page table, and that HomeOf still
+// resolves each byte through the legacy walk.
 func TestPageTableMixedPagesFallBack(t *testing.T) {
 	as := testAS(t)
 	ps := as.PageSize()
 	// Partition = ps/4, two procs per node: page 0 covers procs 0..3,
 	// i.e. nodes 0,0,1,1 — mixed.
 	r := as.AllocBlocked("quarter-page-parts", 4*ps, 16)
-	if _, ok := as.PageHome(r.Addr(0)); ok {
-		t.Fatal("PageHome answered for a page spanning two homes")
+	if h := as.pageHome[uint64(r.Addr(0))>>as.pageShift]; h != mixedPage {
+		t.Fatalf("page spanning two homes is marked uniform (home %d)", h)
 	}
 	if got := as.HomeOf(r.Addr(0)); got != 0 {
 		t.Errorf("first quarter: home %d, want 0", got)

@@ -142,10 +142,7 @@ func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], sta
 	}
 	// Each run head advances sequentially through its own region of recv,
 	// so every run gets its own stream cursor (private cache/TLB lanes):
-	// the P interleaved streams stop evicting each other's memo state,
-	// and each access charges exactly what the LoadSeq/StoreSeq wrappers
-	// charged before. readers must not be appended to while open — the
-	// cursors' TLB lanes are registered by address.
+	// the P interleaved streams stop evicting each other's lane state.
 	readers := make([]machine.SeqCursor, len(starts))
 	for q := range starts {
 		recv.OpenCursor(&readers[q], p, false, machine.Private)
@@ -178,6 +175,5 @@ func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], sta
 		}
 		siftDown()
 	}
-	p.CloseCursors()
 	return total
 }
