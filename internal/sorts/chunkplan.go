@@ -1,12 +1,21 @@
 package sorts
 
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"sync"
+)
+
 // chunkPlan captures, for one radix pass, where every processor's
 // bucket-major send buffer scatters into the globally partitioned output
-// array. Each processor computes the plan locally and redundantly from
-// the allgathered histograms (as the paper's MPI and SHMEM programs do),
-// so senders know exactly what to send and receivers know exactly what
-// to expect — one of the simplifications the paper credits to having all
-// histogram data locally.
+// array. In the paper's MPI and SHMEM programs every processor computes
+// the plan locally and redundantly from the allgathered histograms, so
+// senders know exactly what to send and receivers know exactly what to
+// expect — one of the simplifications the paper credits to having all
+// histogram data locally. The model charges that work to every
+// processor (computeOps), but the host builds each plan once and shares
+// it among the run's processors (planSet).
 type chunkPlan struct {
 	n, procs, buckets int
 	// gStart[d] is the global output index where bucket d begins.
@@ -17,7 +26,8 @@ type chunkPlan struct {
 	// bufPos[i][d] is bucket d's offset inside processor i's bucket-major
 	// send buffer (exclusive prefix over buckets of i's histogram).
 	bufPos [][]int64
-	hists  [][]int32
+	// hists is the plan's own copy of the per-processor histograms.
+	hists [][]int32
 }
 
 // chunk is one contiguous run of keys moving from a source processor's
@@ -34,17 +44,23 @@ type chunk struct {
 }
 
 // newChunkPlan builds the plan for n total keys over the given per-
-// processor histograms.
+// processor histograms, copying them.
 func newChunkPlan(n int, hists [][]int32) *chunkPlan {
 	P := len(hists)
 	B := len(hists[0])
-	pl := &chunkPlan{n: n, procs: P, buckets: B, hists: hists}
+	pl := &chunkPlan{n: n, procs: P, buckets: B}
 	pl.gStart = make([]int64, B)
 	pl.rank = make([][]int64, P)
 	pl.bufPos = make([][]int64, P)
+	pl.hists = make([][]int32, P)
+	rank := make([]int64, P*B)
+	bufPos := make([]int64, P*B)
+	counts := make([]int32, P*B)
 	for i := 0; i < P; i++ {
-		pl.rank[i] = make([]int64, B)
-		pl.bufPos[i] = make([]int64, B)
+		pl.rank[i] = rank[i*B : (i+1)*B]
+		pl.bufPos[i] = bufPos[i*B : (i+1)*B]
+		pl.hists[i] = counts[i*B : (i+1)*B]
+		copy(pl.hists[i], hists[i])
 	}
 	// rank: exclusive scan over processors per bucket; total per bucket.
 	totals := make([]int64, B)
@@ -80,35 +96,94 @@ func (pl *chunkPlan) computeOps() int {
 	return pl.procs*pl.buckets + 2*pl.buckets
 }
 
+// partition returns dst's output partition [plo, phi) and the buckets
+// [dlo, dhi) whose global ranges can overlap it: dlo is the bucket
+// holding index plo, and every bucket from dhi on starts at or past phi.
+func (pl *chunkPlan) partition(dst int) (plo, phi int64, dlo, dhi int) {
+	plo = int64(dst) * int64(pl.n) / int64(pl.procs)
+	phi = int64(dst+1) * int64(pl.n) / int64(pl.procs)
+	dlo = sort.Search(pl.buckets, func(d int) bool { return pl.gStart[d] > plo }) - 1
+	dhi = dlo + sort.Search(pl.buckets-dlo, func(k int) bool { return pl.gStart[dlo+k] >= phi })
+	return plo, phi, dlo, dhi
+}
+
+// clip returns the part of src's bucket-d run that lands in [plo, phi),
+// or ok=false when none does.
+func (pl *chunkPlan) clip(src, d int, plo, phi int64) (ch chunk, ok bool) {
+	cs := pl.gStart[d] + pl.rank[src][d]
+	s, e := max(cs, plo), min(cs+int64(pl.hists[src][d]), phi)
+	if e <= s {
+		return chunk{}, false
+	}
+	return chunk{
+		srcOff: int(pl.bufPos[src][d] + (s - cs)),
+		dstOff: int(s - plo),
+		count:  int(e - s),
+		bucket: d,
+	}, true
+}
+
 // sendChunks returns the contiguous runs processor src contributes to
 // processor dst's partition, in bucket order.
 func (pl *chunkPlan) sendChunks(src, dst int) []chunk {
-	plo64, phi64 := int64(dst)*int64(pl.n)/int64(pl.procs),
-		int64(dst+1)*int64(pl.n)/int64(pl.procs)
+	plo, phi, dlo, dhi := pl.partition(dst)
 	var out []chunk
-	for d := 0; d < pl.buckets; d++ {
-		cnt := int64(pl.hists[src][d])
-		if cnt == 0 {
-			continue
+	for d := dlo; d < dhi; d++ {
+		if ch, ok := pl.clip(src, d, plo, phi); ok {
+			out = append(out, ch)
 		}
-		cs := pl.gStart[d] + pl.rank[src][d]
-		ce := cs + cnt
-		s, e := cs, ce
-		if plo64 > s {
-			s = plo64
-		}
-		if phi64 < e {
-			e = phi64
-		}
-		if e <= s {
-			continue
-		}
-		out = append(out, chunk{
-			srcOff: int(pl.bufPos[src][d] + (s - cs)),
-			dstOff: int(s - plo64),
-			count:  int(e - s),
-			bucket: d,
-		})
 	}
 	return out
+}
+
+// numChunks returns len(pl.sendChunks(src, dst)) without building the
+// chunks.
+func (pl *chunkPlan) numChunks(src, dst int) int {
+	plo, phi, dlo, dhi := pl.partition(dst)
+	n := 0
+	for d := dlo; d < dhi; d++ {
+		if _, ok := pl.clip(src, d, plo, phi); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// planSet shares a run's chunk plans among its processors, one slot per
+// radix pass. The first processor to reach a pass builds the plan from
+// its own copy of the allgathered histograms; every processor, that one
+// included, must hold histograms equal to the plan's. A broken
+// collective therefore panics instead of hiding behind the shared plan.
+type planSet struct {
+	slots []planSlot
+}
+
+type planSlot struct {
+	once sync.Once
+	plan *chunkPlan
+}
+
+func newPlanSet(passes int) *planSet {
+	return &planSet{slots: make([]planSlot, passes)}
+}
+
+// get returns pass's plan for n keys over hists, building it on the
+// first call. It panics, naming the row, when hists differs from the
+// histograms the plan was built from. Callers still charge
+// plan.computeOps() to their processor.
+func (s *planSet) get(pass, n int, hists [][]int32) *chunkPlan {
+	sl := &s.slots[pass]
+	sl.once.Do(func() { sl.plan = newChunkPlan(n, hists) })
+	pl := sl.plan
+	if len(hists) != pl.procs {
+		panic(fmt.Sprintf("sorts: pass %d: %d histogram rows, the shared chunk plan has %d",
+			pass, len(hists), pl.procs))
+	}
+	for i, row := range hists {
+		if !slices.Equal(row, pl.hists[i]) {
+			panic(fmt.Sprintf("sorts: pass %d: histogram row %d disagrees with the shared chunk plan",
+				pass, i))
+		}
+	}
+	return pl
 }

@@ -48,6 +48,7 @@ func PsrsCCSAS(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error)
 	finalCounts := make([]int, P)
 	finalArr := make([]*machine.Array[uint32], P)
 
+	plans := newPlanSet(1)
 	run := m.Run(func(p *machine.Proc) {
 		me := p.ID
 		lo, hi := bounds(n, P, me)
@@ -125,7 +126,7 @@ func PsrsCCSAS(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error)
 			boundArr.LoadRange(p, q*(P+1), (q+1)*(P+1), class)
 			hists[q] = psrsDestCounts(p, boundArr.Data[q*(P+1):(q+1)*(P+1)])
 		}
-		plan := newChunkPlan(n, hists)
+		plan := plans.get(0, n, hists)
 		p.Compute(plan.computeOps())
 
 		p.SetPhase("transfer")

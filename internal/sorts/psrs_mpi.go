@@ -61,6 +61,7 @@ func PsrsMPI(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
 	finalCounts := make([]int, P)
 	finalArr := make([]*machine.Array[uint32], P)
 
+	plans := newPlanSet(1)
 	run := m.Run(func(p *machine.Proc) {
 		me := p.ID
 		np := keyArr[me].Len()
@@ -107,7 +108,7 @@ func PsrsMPI(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
 		}
 		counts := psrsDestCounts(p, b)
 		hists := mpi.Allgather(c, p, counts)
-		plan := newChunkPlan(n, hists)
+		plan := plans.get(0, n, hists)
 		p.Compute(plan.computeOps())
 
 		p.SetPhase("transfer")

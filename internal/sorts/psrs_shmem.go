@@ -41,11 +41,13 @@ func PsrsSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error)
 	// ranks put into, the pivot segment of the broadcast, the
 	// partition-count exchange vectors, and the receive buffers the
 	// chunk exchange puts into (address-reserved; each rank grows its
-	// own once the plan fixes its incoming size).
+	// own once the plan fixes its incoming size). Only the root's pool
+	// is ever read, so only its pool gets host memory.
 	segA := shmem.NewSym[uint32](c, "pshm.a", maxPart)
 	segB := shmem.NewSym[uint32](c, "pshm.b", maxPart)
 	sampleSeg := shmem.NewSym[uint32](c, "pshm.smp", P)
-	poolSeg := shmem.NewSym[uint32](c, "pshm.gpool", P*P)
+	poolSeg := shmem.NewSymReserve[uint32](c, "pshm.gpool", P*P)
+	poolSeg.Seg[0].Grow(P * P)
 	pivotSeg := shmem.NewSym[uint32](c, "pshm.piv", max(1, P-1))
 	countSeg := shmem.NewSym[int32](c, "pshm.dc", P)
 	countAll := shmem.NewSym[int32](c, "pshm.dcs", P*P)
@@ -64,6 +66,7 @@ func PsrsSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error)
 	finalCounts := make([]int, P)
 	finalArr := make([]*machine.Array[uint32], P)
 
+	plans := newPlanSet(1)
 	run := m.Run(func(p *machine.Proc) {
 		me := p.ID
 		lo, hi := bounds(n, P, me)
@@ -143,11 +146,9 @@ func PsrsSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error)
 		all := countAll.Local(p).Data
 		hists := make([][]int32, P)
 		for q := 0; q < P; q++ {
-			row := make([]int32, P)
-			copy(row, all[q*P:(q+1)*P])
-			hists[q] = row
+			hists[q] = all[q*P : (q+1)*P]
 		}
-		plan := newChunkPlan(n, hists)
+		plan := plans.get(0, n, hists)
 		p.Compute(plan.computeOps())
 
 		p.SetPhase("transfer")

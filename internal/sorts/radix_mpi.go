@@ -64,6 +64,7 @@ func RadixMPI(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) 
 	}
 	m.ResetMemory()
 
+	plans := newPlanSet(cfg.Passes())
 	run := m.Run(func(p *machine.Proc) {
 		me := p.ID
 		np := curArr[me].Len()
@@ -74,11 +75,11 @@ func RadixMPI(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) 
 			p.SetPhase("count")
 			counts := countPass(p, cur, 0, np, pass, cfg, sc, machine.Private)
 
-			// Collect everyone's histogram; compute the plan locally
-			// (redundant on all processes, as the paper notes).
+			// Collect everyone's histogram; every process pays for
+			// computing the plan locally (redundant, as the paper notes).
 			p.SetPhase("histogram")
 			hists := mpi.Allgather(c, p, counts)
-			plan := newChunkPlan(n, hists)
+			plan := plans.get(pass, n, hists)
 			p.Compute(plan.computeOps())
 
 			// Local permutation into the bucket-major send buffer.
@@ -139,7 +140,7 @@ func exchangePerChunk(p *machine.Proc, c *mpi.Comm, plan *chunkPlan,
 		dst := (me + k) % P
 		src := (me - k + P) % P
 		sends := plan.sendChunks(me, dst)
-		recvs := len(plan.sendChunks(src, me))
+		recvs := plan.numChunks(src, me)
 		si, ri := 0, 0
 		for si < len(sends) || ri < recvs {
 			if si < len(sends) {

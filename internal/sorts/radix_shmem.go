@@ -50,6 +50,7 @@ func RadixSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error
 	}
 	m.ResetMemory()
 
+	plans := newPlanSet(cfg.Passes())
 	run := m.Run(func(p *machine.Proc) {
 		me := p.ID
 		np := curArr[me].Len()
@@ -69,7 +70,7 @@ func RadixSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error
 			for i := 0; i < P; i++ {
 				hists[i] = histAll.Local(p).Data[i*B : (i+1)*B]
 			}
-			plan := newChunkPlan(n, hists)
+			plan := plans.get(pass, n, hists)
 			p.Compute(plan.computeOps())
 
 			// Local permutation into the symmetric send segment.

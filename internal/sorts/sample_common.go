@@ -1,7 +1,10 @@
 package sorts
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/machine"
 )
@@ -26,26 +29,56 @@ func selectSamples(p *machine.Proc, arr *machine.Array[uint32], lo, n, count int
 	return out
 }
 
-// sortSamplesCharged sorts a host-side sample slice, charging the
-// comparison sort's work.
-func sortSamplesCharged(p *machine.Proc, s []uint32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	n := len(s)
-	if n > 1 {
-		p.Compute(2 * n * ilog2(n))
-	}
-}
-
 // mergeSamplesCharged sorts a concatenation of `ways` already-sorted
 // runs, charging only a multiway merge (n log ways) — the samples each
 // process publishes are pre-sorted, so collectors merge rather than
 // re-sort.
 func mergeSamplesCharged(p *machine.Proc, s []uint32, ways int) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	n := len(s)
+	slices.Sort(s)
+	chargeMerge(p, len(s), ways)
+}
+
+// chargeMerge charges the multiway merge of n samples in `ways` sorted
+// runs.
+func chargeMerge(p *machine.Proc, n, ways int) {
 	if n > 1 && ways > 1 {
 		p.Compute(2 * n * ilog2(ways))
 	}
+}
+
+// samplePool sorts a run's allgathered sample pool once on the host.
+// Every process of the paper's MPI and SHMEM sample sorts merges its own
+// copy of the pool; each is still charged that merge, and each must have
+// gathered exactly the pool that was sorted, so a broken collective
+// panics instead of hiding behind the shared pool.
+type samplePool struct {
+	once     sync.Once
+	gathered []uint32
+	sorted   []uint32
+}
+
+// merge returns the sorted concatenation of parts, charging p the merge
+// of `ways` sorted runs. The first call sorts, and every call checks
+// that its parts concatenate to the pool that was sorted.
+func (s *samplePool) merge(p *machine.Proc, ways int, parts ...[]uint32) []uint32 {
+	s.once.Do(func() {
+		s.gathered = slices.Concat(parts...)
+		s.sorted = slices.Clone(s.gathered)
+		slices.Sort(s.sorted)
+	})
+	at := 0
+	for _, part := range parts {
+		if len(part) > len(s.gathered)-at || !slices.Equal(part, s.gathered[at:at+len(part)]) {
+			panic(fmt.Sprintf("sorts: processor %d gathered samples that differ from the sorted pool", p.ID))
+		}
+		at += len(part)
+	}
+	if at != len(s.gathered) {
+		panic(fmt.Sprintf("sorts: processor %d gathered %d samples, the sorted pool has %d",
+			p.ID, at, len(s.gathered)))
+	}
+	chargeMerge(p, at, ways)
+	return s.sorted
 }
 
 // splittersFrom picks procs-1 splitters from the sorted pool of all

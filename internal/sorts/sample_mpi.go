@@ -49,6 +49,7 @@ func SampleMPI(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error)
 	}
 	m.ResetMemory()
 
+	var pool samplePool
 	finalCounts := make([]int, P)
 	finalArr := make([]*machine.Array[uint32], P)
 
@@ -73,11 +74,7 @@ func SampleMPI(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error)
 		// Phases 2+3: allgather samples; compute splitters redundantly.
 		samples := selectSamples(p, sorted, 0, np, sCount)
 		gathered := mpi.Allgather(c, p, samples)
-		all := make([]uint32, 0, P*sCount)
-		for _, g := range gathered {
-			all = append(all, g...)
-		}
-		mergeSamplesCharged(p, all, P)
+		all := pool.merge(p, P, gathered...)
 		splitters := splittersFrom(p, all, P)
 
 		p.SetPhase("redistribute")

@@ -55,6 +55,7 @@ func SampleSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, erro
 	}
 	m.ResetMemory()
 
+	var pool samplePool
 	finalCounts := make([]int, P)
 	finalArr := make([]*machine.Array[uint32], P)
 
@@ -85,9 +86,7 @@ func SampleSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, erro
 		sampleSeg.Local(p).StoreRange(p, 0, len(samples), machine.Private)
 		p.Compute(len(samples))
 		shmem.Collect(p, sampleSeg, sampleAll, sCount)
-		all := make([]uint32, P*sCount)
-		copy(all, sampleAll.Local(p).Data)
-		mergeSamplesCharged(p, all, P)
+		all := pool.merge(p, P, sampleAll.Local(p).Data)
 		splitters := splittersFrom(p, all, P)
 
 		p.SetPhase("redistribute")
